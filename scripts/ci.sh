@@ -48,7 +48,14 @@
 #               leave both writers' answers twin-equal and invariant-clean
 #   bench-smoke   runs the dual-report bench and fails unless the JSON
 #               artifact carries wall_ms and read_p99_us fields (the
-#               raw-speed half of the reporting contract)
+#               raw-speed half of the reporting contract); then runs the
+#               recovery bench and fails when any committed BENCH_*.json
+#               and its fresh run differ in their key sets (a stale
+#               artifact)
+#   perfbench-smoke  perfbench/smoke_test.py: both ledger workloads run
+#               briefly and pass their correctness gate — the only check
+#               that runs snapshot queries under a concurrent writer and
+#               checks their answers
 #
 # Usage: scripts/ci.sh [jobs]
 set -euo pipefail
@@ -146,6 +153,11 @@ grep -q '"read_p99_us"' "$BENCH_DIR/BENCH_bulkload.json" || {
   echo "bench-smoke: BENCH_bulkload.json carries no read_p99_us field" >&2
   exit 1
 }
+(cd "$BENCH_DIR" && "$REPO_ROOT"/build-ci/bench/recovery_bench)
+python3 scripts/check_bench_keys.py "$BENCH_DIR"
 rm -rf "$BENCH_DIR"
+
+echo "==== [perfbench-smoke] ledger workloads, answers checked ===="
+python3 perfbench/smoke_test.py
 
 echo "==== all CI jobs passed ===="

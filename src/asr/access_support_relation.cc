@@ -6,6 +6,7 @@
 #include <unordered_set>
 #include <utility>
 
+#include "asr/snapshot.h"
 #include "obs/events.h"
 #include "obs/latency.h"
 #include "obs/span.h"
@@ -25,39 +26,32 @@ rel::Row Slice(const rel::Row& row, uint32_t first, uint32_t last) {
   return rel::Row(row.begin() + first, row.begin() + last + 1);
 }
 
-// One lookup hop: probes `tree` with every frontier key and collects the
-// non-null values of `rel_col` into `next`. Strict-metering configurations
-// (buffer capacity 0) probe key by key so the realized page counts match the
-// model's per-source ht + nlp charge exactly; with a real buffer pool the
-// frontier is sorted and fed to the B+ tree's batched sorted probe, which
-// amortizes descents across keys landing in the same leaves and prefetches
-// sibling leaves — identical rows, fewer instructions.
-void ProbeFrontier(btree::BTree* tree,
-                   const std::unordered_set<AsrKey>& frontier,
-                   uint32_t rel_col, std::unordered_set<AsrKey>* next) {
-  if (tree->buffers()->capacity() == 0) {
-    for (AsrKey key : frontier) {
-      if (key.IsNull()) continue;
-      tree->LookupEach(key, [&](const rel::Row& row) {
-        AsrKey v = row[rel_col];
-        if (!v.IsNull()) next->insert(v);
-        return true;
-      });
-    }
-    return;
-  }
-  std::vector<AsrKey> keys;
-  keys.reserve(frontier.size());
-  for (AsrKey key : frontier) {
-    if (!key.IsNull()) keys.push_back(key);
-  }
-  std::sort(keys.begin(), keys.end(),
-            [](AsrKey a, AsrKey b) { return a.raw() < b.raw(); });
-  tree->LookupBatch(keys, [&](size_t, const rel::Row& row) {
-    AsrKey v = row[rel_col];
+// One hop over `tree`: collects the non-null `to` column of every row whose
+// `from` column (both relative to the partition) holds a frontier key. A
+// lookup probes the tree key by key, the model's per-source ht + nlp charge
+// on every buffer configuration; a scan reads every page of the partition
+// (the ap term).
+Status TreeHop(btree::BTree* tree, bool scan, uint32_t from, uint32_t to,
+               const std::unordered_set<AsrKey>& frontier,
+               std::unordered_set<AsrKey>* next) {
+  auto collect = [&](const rel::Row& row) {
+    AsrKey v = row[to];
     if (!v.IsNull()) next->insert(v);
-    return true;
-  });
+  };
+  if (scan) {
+    return tree->ScanAll([&](const rel::Row& row) -> Status {
+      if (!row[from].IsNull() && frontier.count(row[from]) > 0) collect(row);
+      return Status::OK();
+    });
+  }
+  for (AsrKey key : frontier) {
+    if (key.IsNull()) continue;
+    tree->LookupEach(key, [&](const rel::Row& row) {
+      collect(row);
+      return true;
+    });
+  }
+  return Status::OK();
 }
 
 // Runs `tasks` on up to `threads` workers (inline when one suffices). Tasks
@@ -314,31 +308,6 @@ void AccessSupportRelation::EraseRow(const rel::Row& row) {
   }
 }
 
-Result<std::vector<rel::Row>> AccessSupportRelation::PartitionRowsWithValue(
-    size_t p_idx, uint32_t col, AsrKey value) {
-  Partition& part = partitions_[p_idx];
-  ASR_CHECK(part.first <= col && col <= part.last);
-  std::vector<rel::Row> out;
-  if (col == part.first) {
-    part.store->forward->Lookup(value, &out);
-    return out;
-  }
-  if (col == part.last) {
-    part.store->backward->Lookup(value, &out);
-    return out;
-  }
-  // Interior column: every page of the partition must be inspected (the ap
-  // term of Eqs. 33/34).
-  uint32_t rel_col = col - part.first;
-  Status st = part.store->forward->ScanAll(
-      [&](const std::vector<AsrKey>& row) -> Status {
-        if (row[rel_col] == value) out.push_back(row);
-        return Status::OK();
-      });
-  ASR_RETURN_IF_ERROR(st);
-  return out;
-}
-
 Status AccessSupportRelation::PartitionEachRowWithValue(
     size_t p_idx, uint32_t col, AsrKey value,
     const std::function<bool(const rel::Row&)>& fn) {
@@ -361,93 +330,32 @@ Status AccessSupportRelation::PartitionEachRowWithValue(
       });
 }
 
+Result<std::vector<rel::Row>> AccessSupportRelation::PartitionRowsWithValue(
+    size_t p_idx, uint32_t col, AsrKey value) {
+  std::vector<rel::Row> out;
+  ASR_RETURN_IF_ERROR(
+      PartitionEachRowWithValue(p_idx, col, value, [&](const rel::Row& row) {
+        out.push_back(row);
+        return true;
+      }));
+  return out;
+}
+
 Result<std::vector<AsrKey>> AccessSupportRelation::EvalForward(AsrKey start,
                                                                uint32_t i,
                                                                uint32_t j) {
-  if (i >= j || j > path_.n()) {
-    return Status::InvalidArgument("need 0 <= i < j <= n");
-  }
-  if (!SupportsQuery(i, j)) {
-    return Status::NotSupported(
-        "the " + ExtensionKindName(kind_) +
-        " extension does not support Q_{" + std::to_string(i) + "," +
-        std::to_string(j) + "}");
-  }
-  fwd_queries_.Inc();
-  uint32_t c = ColumnOfPosition(i);
-  const uint32_t cj = ColumnOfPosition(j);
-  std::unordered_set<AsrKey> frontier{start};
-
-  while (c < cj && !frontier.empty()) {
-    int p_idx = decomposition_.PartitionStartingAt(c);
-    bool via_lookup = (p_idx >= 0 && c < decomposition_.m());
-    if (!via_lookup) p_idx = decomposition_.PartitionCovering(c);
-    ASR_CHECK(p_idx >= 0);
-    const Partition& part = partitions_[p_idx];
-    uint32_t target = std::min(part.last, cj);
-    frontier_sizes_.Observe(frontier.size());
-    if (part.store->quarantined) {
-      // Degrade to object-base navigation for this path slice (§4.1): same
-      // answers, navigation page counts — metered separately.
-      degraded_hops_.Inc();
-      obs::LiveTelemetry::Instance().degraded_hops.Inc();
-      ASR_EVENT(obs::EventKind::kDegradedNavigation,
-                "dir=fwd partition=" + part.store->name);
-      obs::ScopedSpan hop("hop");
-      if (hop.active()) {
-        hop.Attr("dir", std::string("fwd"));
-        hop.Attr("partition", part.store->name);
-        hop.Attr("mode", std::string("degraded"));
-        hop.Attr("from_col", static_cast<uint64_t>(c));
-        hop.Attr("to_col", static_cast<uint64_t>(target));
-        hop.Attr("frontier", static_cast<uint64_t>(frontier.size()));
-      }
-      Result<std::unordered_set<AsrKey>> reached =
-          NavigateForward(frontier, c, target);
-      ASR_RETURN_IF_ERROR(reached.status());
-      frontier = std::move(*reached);
-      c = target;
-      continue;
-    }
-    if (via_lookup) {
-      hop_lookups_.Inc();
-    } else {
-      hop_scans_.Inc();
-    }
-    obs::ScopedSpan hop("hop");
-    if (hop.active()) {
-      hop.Attr("dir", std::string("fwd"));
-      hop.Attr("partition", partitions_[p_idx].store->name);
-      hop.Attr("mode", std::string(via_lookup ? "lookup" : "scan"));
-      hop.Attr("from_col", static_cast<uint64_t>(c));
-      hop.Attr("to_col", static_cast<uint64_t>(target));
-      hop.Attr("frontier", static_cast<uint64_t>(frontier.size()));
-    }
-    std::unordered_set<AsrKey> next;
-    if (via_lookup) {
-      ProbeFrontier(partitions_[p_idx].store->forward.get(), frontier,
-                    target - part.first, &next);
-    } else {
-      uint32_t rel_c = c - part.first;
-      Status st = partitions_[p_idx].store->forward->ScanAll(
-          [&](const std::vector<AsrKey>& row) -> Status {
-            if (frontier.count(row[rel_c]) > 0 && !row[rel_c].IsNull()) {
-              AsrKey v = row[target - part.first];
-              if (!v.IsNull()) next.insert(v);
-            }
-            return Status::OK();
-          });
-      ASR_RETURN_IF_ERROR(st);
-    }
-    frontier = std::move(next);
-    c = target;
-  }
-  return std::vector<AsrKey>(frontier.begin(), frontier.end());
+  return RunPlan(QueryDir::kForward, start, i, j, nullptr);
 }
 
 Result<std::vector<AsrKey>> AccessSupportRelation::EvalBackward(AsrKey target,
                                                                 uint32_t i,
                                                                 uint32_t j) {
+  return RunPlan(QueryDir::kBackward, target, i, j, nullptr);
+}
+
+Result<std::vector<AsrKey>> AccessSupportRelation::RunPlan(
+    QueryDir dir, AsrKey anchor, uint32_t i, uint32_t j,
+    const AsrSnapshot* pinned) {
   if (i >= j || j > path_.n()) {
     return Status::InvalidArgument("need 0 <= i < j <= n");
   }
@@ -457,72 +365,57 @@ Result<std::vector<AsrKey>> AccessSupportRelation::EvalBackward(AsrKey target,
         " extension does not support Q_{" + std::to_string(i) + "," +
         std::to_string(j) + "}");
   }
-  bwd_queries_.Inc();
-  const uint32_t ci = ColumnOfPosition(i);
-  uint32_t c = ColumnOfPosition(j);
-  std::unordered_set<AsrKey> frontier{target};
-
-  while (c > ci && !frontier.empty()) {
-    int p_idx = decomposition_.PartitionEndingAt(c);
-    bool via_lookup = (p_idx >= 0 && c > 0);
-    if (!via_lookup) p_idx = decomposition_.PartitionCovering(c);
-    ASR_CHECK(p_idx >= 0);
-    const Partition& part = partitions_[p_idx];
-    uint32_t dest = std::max(part.first, ci);
-    frontier_sizes_.Observe(frontier.size());
-    if (part.store->quarantined) {
-      degraded_hops_.Inc();
+  const bool live = pinned == nullptr;
+  const bool forward = dir == QueryDir::kForward;
+  const std::string dir_name = forward ? "fwd" : "bwd";
+  if (live) (forward ? fwd_queries_ : bwd_queries_).Inc();
+  const HopPlan plan = PlanQuery(dir, i, j);
+  std::unordered_set<AsrKey> frontier{anchor};
+  for (const Hop& hop : plan.hops) {
+    if (frontier.empty()) break;
+    const Partition& part = partitions_[hop.partition];
+    // Quarantined trees degrade to object-base navigation for this path
+    // slice (§4.1): same answers, navigation page counts, metered
+    // separately. Snapshots never see one: capture requires a healthy ASR.
+    const bool degraded = live && part.store->quarantined;
+    if (live) {
+      frontier_sizes_.Observe(frontier.size());
+      (degraded ? degraded_hops_ : hop.scan ? hop_scans_ : hop_lookups_).Inc();
+    }
+    if (degraded) {
       obs::LiveTelemetry::Instance().degraded_hops.Inc();
       ASR_EVENT(obs::EventKind::kDegradedNavigation,
-                "dir=bwd partition=" + part.store->name);
-      obs::ScopedSpan hop("hop");
-      if (hop.active()) {
-        hop.Attr("dir", std::string("bwd"));
-        hop.Attr("partition", part.store->name);
-        hop.Attr("mode", std::string("degraded"));
-        hop.Attr("from_col", static_cast<uint64_t>(c));
-        hop.Attr("to_col", static_cast<uint64_t>(dest));
-        hop.Attr("frontier", static_cast<uint64_t>(frontier.size()));
-      }
+                "dir=" + dir_name + " partition=" + part.store->name);
+    }
+    obs::ScopedSpan span("hop");
+    if (span.active()) {
+      span.Attr("dir", dir_name);
+      span.Attr("partition", part.store->name);
+      span.Attr("mode", std::string(degraded   ? "degraded"
+                                    : hop.scan ? "scan"
+                                               : "lookup"));
+      span.Attr("from_col", static_cast<uint64_t>(hop.from_col));
+      span.Attr("to_col", static_cast<uint64_t>(hop.to_col));
+      span.Attr("frontier", static_cast<uint64_t>(frontier.size()));
+    }
+    if (degraded) {
       Result<std::unordered_set<AsrKey>> reached =
-          NavigateBackward(frontier, c, dest);
+          forward ? NavigateForward(frontier, hop.from_col, hop.to_col)
+                  : NavigateBackward(frontier, hop.from_col, hop.to_col);
       ASR_RETURN_IF_ERROR(reached.status());
       frontier = std::move(*reached);
-      c = dest;
       continue;
     }
-    if (via_lookup) {
-      hop_lookups_.Inc();
-    } else {
-      hop_scans_.Inc();
-    }
-    obs::ScopedSpan hop("hop");
-    if (hop.active()) {
-      hop.Attr("dir", std::string("bwd"));
-      hop.Attr("partition", partitions_[p_idx].store->name);
-      hop.Attr("mode", std::string(via_lookup ? "lookup" : "scan"));
-      hop.Attr("from_col", static_cast<uint64_t>(c));
-      hop.Attr("to_col", static_cast<uint64_t>(dest));
-      hop.Attr("frontier", static_cast<uint64_t>(frontier.size()));
-    }
+    const std::unique_ptr<btree::BTree>& tree =
+        live ? (hop.backward_tree ? part.store->backward
+                                  : part.store->forward)
+             : (hop.backward_tree ? pinned->trees_[hop.partition].backward
+                                  : pinned->trees_[hop.partition].forward);
     std::unordered_set<AsrKey> next;
-    if (via_lookup) {
-      ProbeFrontier(partitions_[p_idx].store->backward.get(), frontier,
-                    dest - part.first, &next);
-    } else {
-      uint32_t rel_c = c - part.first;
-      Status st = partitions_[p_idx].store->forward->ScanAll(
-          [&](const std::vector<AsrKey>& row) -> Status {
-            if (frontier.count(row[rel_c]) > 0 && !row[rel_c].IsNull()) {
-              AsrKey v = row[dest - part.first];
-              if (!v.IsNull()) next.insert(v);
-            }
-            return Status::OK();
-          });
-      ASR_RETURN_IF_ERROR(st);
-    }
+    ASR_RETURN_IF_ERROR(TreeHop(tree.get(), hop.scan,
+                                hop.from_col - part.first,
+                                hop.to_col - part.first, frontier, &next));
     frontier = std::move(next);
-    c = dest;
   }
   return std::vector<AsrKey>(frontier.begin(), frontier.end());
 }

@@ -21,6 +21,7 @@
 
 #include "asr/decomposition.h"
 #include "asr/extension.h"
+#include "asr/hop_plan.h"
 #include "asr/journal.h"
 #include "asr/path_expression.h"
 #include "btree/btree.h"
@@ -220,6 +221,12 @@ class AccessSupportRelation {
   Result<std::vector<AsrKey>> EvalBackward(AsrKey target, uint32_t i,
                                            uint32_t j);
 
+  // The partition hops Q_{i,j} runs in `dir` (requires i < j <= n).
+  HopPlan PlanQuery(QueryDir dir, uint32_t i, uint32_t j) const {
+    return HopPlan::Compile(decomposition_, dir, ColumnOfPosition(i),
+                            ColumnOfPosition(j));
+  }
+
   // --- Incremental maintenance (§6) --------------------------------------
   // To be called AFTER the object store change has been applied. The edge at
   // attribute A_{p+1} connects `u` (an object at path position p) to `w`
@@ -350,18 +357,28 @@ class AccessSupportRelation {
                         ExtensionKind kind, Decomposition decomposition,
                         AsrOptions options);
 
-  // Rows of partition `p_idx` whose absolute column `col` equals `value`;
-  // uses a tree lookup when `col` is the partition's first/last column and a
-  // page scan otherwise (the Eq. 33/34 interior-column case).
-  Result<std::vector<rel::Row>> PartitionRowsWithValue(size_t p_idx,
-                                                       uint32_t col,
-                                                       AsrKey value);
+  // The one §5.6 hop executor behind EvalForward/EvalBackward here and in
+  // AsrSnapshot: validates Q_{i,j}, compiles its HopPlan and runs it from
+  // `anchor`. `pinned` is the tree source. nullptr runs over the live
+  // partition stores, records the query counters and routes quarantined
+  // partitions to navigation. A snapshot's captured trees get hop spans
+  // only: snapshot readers run concurrently, and the HotCounters are
+  // single-writer.
+  Result<std::vector<AsrKey>> RunPlan(QueryDir dir, AsrKey anchor, uint32_t i,
+                                      uint32_t j, const AsrSnapshot* pinned);
 
-  // Streaming variant of PartitionRowsWithValue: `fn` returns false to stop
-  // early (used by existence probes to avoid materializing clusters).
+  // Calls `fn` for each row of partition `p_idx` whose absolute column `col`
+  // equals `value`; `fn` returns false to stop early. Uses a tree lookup when
+  // `col` is the partition's first/last column and a page scan otherwise
+  // (the Eq. 33/34 interior-column case).
   Status PartitionEachRowWithValue(
       size_t p_idx, uint32_t col, AsrKey value,
       const std::function<bool(const rel::Row&)>& fn);
+
+  // Collecting variant of PartitionEachRowWithValue.
+  Result<std::vector<rel::Row>> PartitionRowsWithValue(size_t p_idx,
+                                                       uint32_t col,
+                                                       AsrKey value);
 
   // Installs `rows` as this ASR's contribution: fills full_rows_ and the
   // per-partition slice refcounts, bulk-loading partitions whose store is

@@ -153,11 +153,15 @@ Result<ExplainResult> QueryEvaluator::Explain(QueryDir dir, AsrKey anchor,
   };
 
   const bool forward = dir == QueryDir::kForward;
-  const bool use_asr = asr != nullptr && asr->SupportsQuery(i, j);
+  // Out-of-range queries take the navigational path, which rejects them.
+  const bool use_asr = asr != nullptr && i < j && j <= path_->n() &&
+                       asr->SupportsQuery(i, j);
   obs::TraceContext ctx("query", std::move(probe));
   ctx.RootAttr("q", "Q_{" + std::to_string(i) + "," + std::to_string(j) + "}");
   ctx.RootAttr("dir", forward ? "fwd" : "bwd");
-  ctx.RootAttr("plan", use_asr ? "asr" : "navigational");
+  // The ASR plan is the HopPlan its executor runs, one hop per partition.
+  ctx.RootAttr("plan", use_asr ? asr->PlanQuery(dir, i, j).ToString()
+                               : "navigational");
   if (use_asr && asr->degraded()) {
     // Quarantined partitions answer by object-base navigation until
     // Repair(); flag the plan so the extra page reads are explicable.

@@ -14,6 +14,7 @@
 
 #include <vector>
 
+#include "asr/hop_plan.h"
 #include "asr/path_expression.h"
 #include "common/asr_key.h"
 #include "common/status.h"
@@ -24,9 +25,6 @@
 namespace asr {
 
 class AccessSupportRelation;
-
-// Direction of a path query Q_{i,j}.
-enum class QueryDir { kForward, kBackward };
 
 // What Explain returns: the query answer plus the per-stage span tree.
 struct ExplainResult {
@@ -56,10 +54,11 @@ class QueryEvaluator {
   // together with the span tree (per-stage page reads/writes, buffer
   // hits/misses, wall time; render with trace.ToText() or trace.ToJson()).
   // With `asr` non-null and its extension supporting Q_{i,j} (Eq. 35), the
-  // query runs over the ASR's partition hops; otherwise it falls back to the
-  // navigational evaluation above. Single-threaded; the trace reads the same
-  // AccessStats the Meter uses, so span costs line up with the model's page
-  // counts.
+  // query runs over the ASR's partition hops, and the root's "plan"
+  // attribute renders their HopPlan; otherwise it falls back to the
+  // navigational evaluation above (plan "navigational"). Single-threaded;
+  // the trace reads the same AccessStats the Meter uses, so span costs line
+  // up with the model's page counts.
   Result<ExplainResult> Explain(QueryDir dir, AsrKey anchor, uint32_t i,
                                 uint32_t j,
                                 AccessSupportRelation* asr = nullptr);

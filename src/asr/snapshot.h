@@ -3,11 +3,11 @@
 //
 // An AsrSnapshot is the ASR-level face of a storage::PageSnapshot: capture
 // pins the current committed page-version epoch and copies each partition
-// tree's in-memory Meta; queries then run the ordinary hop loop over trees
-// attached to a read-only snapshot-mode buffer pool, so every page resolves
-// to its image as of the pinned epoch — retained old versions where a later
-// commit has since overwritten the backend. Writers never block the reader
-// and the reader never blocks writers; the copy-on-write retention in
+// tree's in-memory Meta; queries then run the ASR's one hop executor over
+// trees attached to a read-only snapshot-mode buffer pool, so every page
+// resolves to its image as of the pinned epoch — retained old versions where
+// a later commit has since overwritten the backend. Writers never block the
+// reader and the reader never blocks writers; the copy-on-write retention in
 // storage/mvcc.h is the isolation mechanism.
 //
 // The alternative — evaluating queries against the live trees concurrently
@@ -42,10 +42,11 @@ class AsrSnapshot {
   // The committed epoch this snapshot reads at.
   storage::MvccEpoch epoch() const { return snap_.epoch(); }
 
-  // Supported queries against the captured state: same contract and same
-  // answers as the live EvalForward/EvalBackward at capture time, minus the
-  // degraded-navigation path (capture requires a non-degraded ASR) and the
-  // live telemetry. The source ASR must outlive the snapshot.
+  // Supported queries against the captured state: the live ASR's hop
+  // executor over the pinned trees, so same contract, same answers as the
+  // live EvalForward/EvalBackward at capture time, and the same hop spans.
+  // Minus the degraded-navigation path (capture requires a non-degraded
+  // ASR) and the live counters. The source ASR must outlive the snapshot.
   Result<std::vector<AsrKey>> EvalForward(AsrKey start, uint32_t i,
                                           uint32_t j);
   Result<std::vector<AsrKey>> EvalBackward(AsrKey target, uint32_t i,
@@ -54,23 +55,24 @@ class AsrSnapshot {
  private:
   friend class AccessSupportRelation;
 
-  struct SnapPartition {
-    uint32_t first = 0;
-    uint32_t last = 0;
+  // One partition's two trees, attached to the captured Metas.
+  struct PinnedTrees {
     std::unique_ptr<btree::BTree> forward;
     std::unique_ptr<btree::BTree> backward;
   };
 
-  explicit AsrSnapshot(const AccessSupportRelation* asr) : asr_(asr) {}
+  explicit AsrSnapshot(AccessSupportRelation* asr) : asr_(asr) {}
 
-  // Immutable-after-Build configuration (path, kind, decomposition) is read
-  // through the source ASR; everything that mutates is captured below.
-  const AccessSupportRelation* asr_;
-  // Declaration order is the teardown contract reversed: partitions_ (trees)
-  // pin through pool_, and pool_ reads through snap_.
+  // Queries run the source ASR's executor, which reads only its
+  // immutable-after-Build state (path, kind, decomposition, partition
+  // boundaries and store names) when handed a snapshot; everything that
+  // mutates is captured below.
+  AccessSupportRelation* asr_;
+  // Declaration order is the teardown contract reversed: trees_ pin through
+  // pool_, and pool_ reads through snap_.
   storage::PageSnapshot snap_;
   std::unique_ptr<storage::BufferManager> pool_;
-  std::vector<SnapPartition> partitions_;
+  std::vector<PinnedTrees> trees_;  // indexed by partition
 };
 
 }  // namespace asr

@@ -756,78 +756,6 @@ void BTree::LookupEach(
   }
 }
 
-void BTree::LookupBatch(
-    const std::vector<AsrKey>& keys,
-    const std::function<bool(size_t, const std::vector<AsrKey>&)>& fn) {
-  if (keys.empty()) return;
-  const LeafCodec codec{width_, key_column_, leaf_entry_bytes_,
-                        leaf_capacity_};
-  storage::Disk* disk = buffers_->disk();
-  std::vector<AsrKey> row(width_);
-  std::vector<uint64_t> raw(width_);
-  PageGuard leaf;
-  LeafView v;
-
-  auto PinLeaf = [&](uint32_t no) {
-    leaf = buffers_->Pin(PageId{segment_, no});
-    leaf_touches_.Inc();
-    v = codec.Parse(leaf.page());
-    // Announce the sibling before scanning this leaf: by the time the run
-    // (or the next key) hops the chain, its bytes are on their way in.
-    if (v.next != kNoLeaf) disk->PrefetchPage(PageId{segment_, v.next});
-  };
-
-  for (size_t ki = 0; ki < keys.size(); ++ki) {
-    ASR_DCHECK(ki == 0 || keys[ki - 1].raw() < keys[ki].raw());
-    const uint64_t target = keys[ki].raw();
-    const u128 tpack = Pack(target, 0);
-    if (!leaf.valid()) {
-      PinLeaf(DescendToLeaf(CompositeKey{target, 0}, nullptr));
-    }
-
-    // Position on a leaf that can contain `target`: one free chain hop from
-    // wherever the previous key left us (sorted keys make the prefetched
-    // sibling the common case), then one descent, then the chain again.
-    // Leaves are chain-linked in global key order, so a rightmost leaf that
-    // is still short proves no later key matches either.
-    bool descended = false;
-    bool hopped = false;
-    for (;;) {
-      if (v.count > 0 &&
-          codec.KeyAt(leaf.page(), v, v.count - 1) >= target) {
-        break;
-      }
-      if (v.next == kNoLeaf) return;
-      if (hopped && !descended) {
-        PinLeaf(DescendToLeaf(CompositeKey{target, 0}, nullptr));
-        descended = true;
-      } else {
-        PinLeaf(v.next);
-        hopped = true;
-      }
-    }
-
-    // Serve the cluster — same rows, same order, same leaf pins as
-    // LookupEach(keys[ki], ...) would produce from its own descent.
-    uint32_t i = LowerBound(v.count, tpack, [&](uint32_t j) {
-      return codec.PackedAt(leaf.page(), v, j);
-    });
-    for (;;) {
-      if (i == v.count) {
-        if (v.next == kNoLeaf) break;
-        PinLeaf(v.next);
-        i = 0;
-        continue;
-      }
-      if (codec.KeyAt(leaf.page(), v, i) != target) break;
-      codec.RowAt(leaf.page(), v, i, raw.data());
-      for (uint32_t c = 0; c < width_; ++c) row[c] = AsrKey::FromRaw(raw[c]);
-      if (!fn(ki, row)) return;
-      ++i;
-    }
-  }
-}
-
 bool BTree::Contains(AsrKey key) {
   CompositeKey target{key.raw(), 0};
   const u128 tpack = Pack(key.raw(), 0);

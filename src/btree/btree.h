@@ -120,25 +120,6 @@ class BTree {
   void LookupEach(AsrKey key,
                   const std::function<bool(const std::vector<AsrKey>&)>& fn);
 
-  // Batched sorted-probe lookup: `keys` must be sorted ascending. Calls
-  // `fn(i, tuple)` for every tuple whose key column equals keys[i], i
-  // ascending and tuples in cluster order — exactly the rows LookupEach
-  // would deliver key by key, byte for byte. `fn` returns false to stop the
-  // whole batch. The win is CPU: one descent serves every key that lands in
-  // the current leaf (or its sibling — the chain hop the sorted order makes
-  // likely), and the sibling leaf is software-prefetched while the current
-  // one is scanned. Amortizing descents also skips inner-page pins the
-  // scalar path would re-charge, so strict metering runs (buffer capacity
-  // 0), whose observed counts must realize the model's per-source ht + nlp
-  // charge, should keep calling LookupEach — see
-  // AccessSupportRelation::EvalForward.
-  void LookupBatch(const std::vector<AsrKey>& keys,
-                   const std::function<bool(size_t, const std::vector<AsrKey>&)>& fn);
-
-  // Buffer pool this tree pins through (callers use its capacity to decide
-  // between metered-faithful scalar probes and batched raw-speed probes).
-  storage::BufferManager* buffers() const { return buffers_; }
-
   // True iff some tuple has `key` in the key column (same page cost as a
   // cluster lookup of one leaf page).
   bool Contains(AsrKey key);

@@ -329,39 +329,50 @@ double CostModel::QueryNoSupport(QueryDirection dir, uint32_t i,
   return sum;
 }
 
+QueryTerm SupportedQueryTerm(QueryDirection dir, uint32_t i, uint32_t j,
+                             uint32_t a, uint32_t b) {
+  if (dir == QueryDirection::kForward) {
+    // Eq. 33.
+    if (a == i && i < b) return QueryTerm::kEntryLookup;
+    if (a < i && i < b) return QueryTerm::kScan;
+    if (i < a && a < j) return QueryTerm::kChainLookup;
+    return QueryTerm::kNone;
+  }
+  // Eq. 34.
+  if (a < j && j == b) return QueryTerm::kEntryLookup;
+  if (a < j && j < b) return QueryTerm::kScan;
+  if (i < b && b < j) return QueryTerm::kChainLookup;
+  return QueryTerm::kNone;
+}
+
 double CostModel::QuerySupported(ExtensionKind x, QueryDirection dir,
                                  uint32_t i, uint32_t j,
                                  const Decomposition& dec) const {
   ASR_DCHECK(i < j && j <= n());
   double sum = 0.0;
   const double fanout = system_.BTreeFanOut();
+  const bool forward = dir == QueryDirection::kForward;
   for (size_t p = 0; p < dec.partition_count(); ++p) {
     auto [a, b] = dec.partition(p);
-    if (dir == QueryDirection::kForward) {
-      // Eq. 33.
-      if (a == i && i < b) {
-        sum += BTreeHeight(x, a, b) + LeafPagesPerValue(x, a, b);
-      } else if (a < i && i < b) {
+    switch (SupportedQueryTerm(dir, i, j, a, b)) {
+      case QueryTerm::kNone:
+        break;
+      case QueryTerm::kEntryLookup:
+        sum += BTreeHeight(x, a, b) + (forward ? LeafPagesPerValue(x, a, b)
+                                               : RevLeafPagesPerValue(x, a, b));
+        break;
+      case QueryTerm::kScan:
         sum += PartitionPages(x, a, b);
-      } else if (i < a && a < j) {
-        double k = std::ceil(RefBy(i, a, 1));
+        break;
+      case QueryTerm::kChainLookup: {
+        // k source values enter the partition at its clustered column.
+        double k = std::ceil(forward ? RefBy(i, a, 1) : Ref(b, j, 1));
+        double nlp = forward ? LeafPagesPerValue(x, a, b)
+                             : RevLeafPagesPerValue(x, a, b);
         double pg1 = std::max(0.0, BTreeNonLeafPages(x, a, b) - 1.0);
         sum += 1.0 + Yao(k, pg1, pg1 * fanout) +
-               Yao(k * LeafPagesPerValue(x, a, b), PartitionPages(x, a, b),
-                   Cardinality(x, a, b));
-      }
-    } else {
-      // Eq. 34.
-      if (a < j && j == b) {
-        sum += BTreeHeight(x, a, b) + RevLeafPagesPerValue(x, a, b);
-      } else if (a < j && j < b) {
-        sum += PartitionPages(x, a, b);
-      } else if (i < b && b < j) {
-        double k = std::ceil(Ref(b, j, 1));
-        double pg1 = std::max(0.0, BTreeNonLeafPages(x, a, b) - 1.0);
-        sum += 1.0 + Yao(k, pg1, pg1 * fanout) +
-               Yao(k * RevLeafPagesPerValue(x, a, b),
-                   PartitionPages(x, a, b), Cardinality(x, a, b));
+               Yao(k * nlp, PartitionPages(x, a, b), Cardinality(x, a, b));
+        break;
       }
     }
   }

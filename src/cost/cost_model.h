@@ -24,6 +24,15 @@ using asr::ExtensionKind;
 
 enum class QueryDirection { kForward, kBackward };
 
+// The Eq. 33/34 term a partition [a, b] contributes to Q_{i,j}: nothing, the
+// cluster lookup at the query's entry column (ht + nlp), the scan of every
+// page when the entry column is interior (ap), or a chained cluster lookup
+// at a later boundary (1 + Yao(...)).
+enum class QueryTerm { kNone, kEntryLookup, kScan, kChainLookup };
+
+QueryTerm SupportedQueryTerm(QueryDirection dir, uint32_t i, uint32_t j,
+                             uint32_t a, uint32_t b);
+
 class CostModel {
  public:
   CostModel(ApplicationProfile profile, SystemParameters system = {});

@@ -96,18 +96,6 @@ Status MemoryBackend::Write(uint32_t segment, uint32_t page_no,
   return Status::OK();
 }
 
-void MemoryBackend::Prefetch(uint32_t segment, uint32_t page_no) {
-  std::vector<Page>& pages = Pages(segment);
-  if (page_no >= pages.size()) return;
-  // Pull the head of the page toward the caches; the subsequent Read's
-  // memcpy streams the rest. Eight lines covers the leaf header plus the
-  // first entries — where the batched probe's binary search lands first.
-  const std::byte* p = pages[page_no].data();
-  for (uint32_t line = 0; line < 8; ++line) {
-    __builtin_prefetch(p + line * 64, /*rw=*/0, /*locality=*/1);
-  }
-}
-
 void MemoryBackend::ExportMetrics(obs::MetricsRegistry* registry,
                                   const std::string& prefix) const {
   std::shared_lock<std::shared_mutex> lock(mu_);

@@ -111,13 +111,6 @@ class StorageBackend {
   virtual Status Write(uint32_t segment, uint32_t page_no,
                        const Page& page) = 0;
 
-  // Best-effort hint that `page_no` is about to be read (the B+ tree batched
-  // probe announces sibling leaves). Never required for correctness.
-  virtual void Prefetch(uint32_t segment, uint32_t page_no) {
-    (void)segment;
-    (void)page_no;
-  }
-
   // Durability points: everything written to `segment` (resp. every
   // segment) so far is on stable storage when the call returns OK. The
   // memory backend's storage is the process image — already as stable as it
@@ -154,7 +147,6 @@ class MemoryBackend : public StorageBackend {
   void AddPage(uint32_t segment) override;
   Status Read(uint32_t segment, uint32_t page_no, Page* out) override;
   Status Write(uint32_t segment, uint32_t page_no, const Page& page) override;
-  void Prefetch(uint32_t segment, uint32_t page_no) override;
   void ExportMetrics(obs::MetricsRegistry* registry,
                      const std::string& prefix) const override;
 

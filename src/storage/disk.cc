@@ -185,11 +185,6 @@ Status Disk::WritePageUnversioned(PageId id, const Page& page) {
   return Status::OK();
 }
 
-void Disk::PrefetchPage(PageId id) {
-  if (!id.IsValid()) return;
-  backend_->Prefetch(id.segment, id.page_no);
-}
-
 Status Disk::VerifyPage(PageId id) {
   Segment& seg = GetSegment(id.segment);
   ASR_CHECK(id.page_no < seg.checksums.size());

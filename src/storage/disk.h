@@ -92,10 +92,6 @@ class Disk {
   Status ReadPage(PageId id, Page* out);
   Status WritePage(PageId id, const Page& page);
 
-  // Uncounted read hint: tells the backend `id` is about to be pinned (the
-  // B+ tree batched probe announces sibling leaves). Never required.
-  void PrefetchPage(PageId id);
-
   // Attaches a page-version manager (borrowed; nullptr detaches). With a
   // manager attached, reads and writes to its registered segments route
   // through the MVCC layer: a thread with an active PageTransaction stages

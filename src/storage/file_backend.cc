@@ -211,18 +211,6 @@ Status FileBackend::Write(uint32_t segment, uint32_t page_no,
   return Status::OK();
 }
 
-void FileBackend::Prefetch(uint32_t segment, uint32_t page_no) {
-  Segment& seg = Seg(segment);
-  if (seg.map == nullptr || page_no >= seg.pages ||
-      page_no >= seg.capacity_pages) {
-    return;
-  }
-  const std::byte* p = seg.map + static_cast<size_t>(page_no) * kPageSize;
-  for (uint32_t line = 0; line < 8; ++line) {
-    __builtin_prefetch(p + line * 64, /*rw=*/0, /*locality=*/1);
-  }
-}
-
 Status FileBackend::Sync(uint32_t segment) {
   Segment& seg = Seg(segment);
   if (seg.fd < 0) {

@@ -64,7 +64,6 @@ class FileBackend : public StorageBackend {
   void AddPage(uint32_t segment) override;
   Status Read(uint32_t segment, uint32_t page_no, Page* out) override;
   Status Write(uint32_t segment, uint32_t page_no, const Page& page) override;
-  void Prefetch(uint32_t segment, uint32_t page_no) override;
   Status Sync(uint32_t segment) override;
   Status SyncAll() override;
   bool read_only() const override {

@@ -200,7 +200,7 @@ TEST_F(BTreeTest, LookupCostIsHeightPlusLeaves) {
   EXPECT_LE(delta.page_reads, tree.height() + 2);
 }
 
-// --- Leaf compression & batched probes (CPU micro-optimizations) ---------
+// --- Leaf compression (CPU micro-optimizations) ---------------------------
 
 TEST_F(BTreeTest, BulkLoadCompressesDenseKeyRuns) {
   BTree tree(&buffers_, "t", 2, 0);
@@ -253,75 +253,6 @@ TEST_F(BTreeTest, WideKeySpanFallsBackToPlainLeaves) {
   for (uint64_t i = 0; i < 120; ++i) {
     EXPECT_TRUE(tree.Contains(AsrKey::FromOid(Oid::Make(1, 1 + (i << 33)))));
   }
-}
-
-// The batched probe must be indistinguishable from scalar probes in what it
-// delivers: same rows, same per-key attribution, same order — across
-// tuple widths/key columns (the decompositions the ASR eval paths use),
-// absent keys, multi-leaf duplicate clusters, and early stops.
-TEST_F(BTreeTest, LookupBatchMatchesScalarProbes) {
-  struct Config {
-    uint32_t width;
-    uint32_t key_col;
-  };
-  Rng rng(29);
-  for (Config cfg : {Config{2, 0}, Config{3, 1}, Config{4, 3}}) {
-    BTree tree(&buffers_, "b" + std::to_string(cfg.width), cfg.width,
-               cfg.key_col);
-    for (int i = 0; i < 20000; ++i) {
-      std::vector<AsrKey> t;
-      for (uint32_t c = 0; c < cfg.width; ++c) {
-        uint64_t seq =
-            c == cfg.key_col ? rng.Uniform(3000) + 1 : rng.Uniform(40) + 1;
-        t.push_back(AsrKey::FromOid(Oid::Make(1, seq)));
-      }
-      tree.Insert(t);
-    }
-    // Both leaf formats must be in play for the comparison to mean much.
-    BTree::LeafFormatCounts counts = tree.CountLeafFormats().value();
-    EXPECT_GT(counts.compressed, 0u) << "width " << cfg.width;
-
-    // Probe every key in [1, 3200]: present, absent past 3000, clusters.
-    std::vector<AsrKey> keys;
-    for (uint64_t k = 1; k <= 3200; ++k) {
-      keys.push_back(AsrKey::FromOid(Oid::Make(1, k)));
-    }
-    using Hit = std::pair<size_t, std::vector<AsrKey>>;
-    std::vector<Hit> want;
-    for (size_t i = 0; i < keys.size(); ++i) {
-      tree.LookupEach(keys[i], [&](const std::vector<AsrKey>& row) {
-        want.push_back({i, row});
-        return true;
-      });
-    }
-    std::vector<Hit> got;
-    tree.LookupBatch(keys, [&](size_t i, const std::vector<AsrKey>& row) {
-      got.push_back({i, row});
-      return true;
-    });
-    EXPECT_EQ(want, got) << "width " << cfg.width;
-
-    // Early stop: the batch delivers exactly the scalar prefix, then halts.
-    constexpr size_t kStop = 7;
-    std::vector<Hit> partial;
-    tree.LookupBatch(keys, [&](size_t i, const std::vector<AsrKey>& row) {
-      partial.push_back({i, row});
-      return partial.size() < kStop;
-    });
-    ASSERT_EQ(partial.size(), std::min(kStop, want.size()));
-    std::vector<Hit> prefix(want.begin(), want.begin() + partial.size());
-    EXPECT_EQ(prefix, partial) << "width " << cfg.width;
-  }
-}
-
-TEST_F(BTreeTest, LookupBatchOnEmptyTreeDeliversNothing) {
-  BTree tree(&buffers_, "t", 2, 0);
-  std::vector<AsrKey> keys = {AsrKey::FromOid(Oid::Make(1, 1)),
-                              AsrKey::FromOid(Oid::Make(1, 2))};
-  tree.LookupBatch(keys, [&](size_t, const std::vector<AsrKey>&) {
-    ADD_FAILURE() << "empty tree delivered a row";
-    return true;
-  });
 }
 
 }  // namespace

@@ -1,9 +1,14 @@
-// Unit tests for Decomposition (Def. 3.8) and its lookup helpers.
+// Unit tests for Decomposition (Def. 3.8), its lookup helpers, and the
+// HopPlans compiled from it (§5.6).
 #include <gtest/gtest.h>
 
+#include <map>
 #include <set>
+#include <string>
 
 #include "asr/decomposition.h"
+#include "asr/hop_plan.h"
+#include "cost/cost_model.h"
 
 namespace asr {
 namespace {
@@ -83,6 +88,66 @@ TEST(DecompositionTest, Equality) {
   EXPECT_TRUE(Decomposition::Binary(3) ==
               Decomposition::Of({0, 1, 2, 3}, 3).value());
   EXPECT_FALSE(Decomposition::Binary(3) == Decomposition::None(3));
+}
+
+// A compiled plan hops through exactly the partitions the Eq. 33/34 case
+// table of CostModel::QuerySupported charges: a lookup where it charges a
+// cluster lookup (ht + nlp at the entry column, 1 + Yao(...) further on), a
+// scan where it charges ap, and no hop anywhere else.
+TEST(HopPlanTest, HopsAreThePartitionsTheCostModelCharges) {
+  for (const Decomposition& dec : Decomposition::EnumerateAll(4)) {
+    for (uint32_t i = 0; i < 4; ++i) {
+      for (uint32_t j = i + 1; j <= 4; ++j) {
+        for (QueryDir dir : {QueryDir::kForward, QueryDir::kBackward}) {
+          const bool forward = dir == QueryDir::kForward;
+          SCOPED_TRACE(dec.ToString() + " Q_{" + std::to_string(i) + "," +
+                       std::to_string(j) + "} " + (forward ? "fwd" : "bwd"));
+          const HopPlan plan = HopPlan::Compile(dec, dir, i, j);
+          ASSERT_FALSE(plan.hops.empty());
+
+          // The hops chain from the entry column to the exit column.
+          uint32_t col = forward ? i : j;
+          std::map<size_t, Hop> by_partition;
+          for (const Hop& hop : plan.hops) {
+            EXPECT_EQ(hop.from_col, col);
+            col = hop.to_col;
+            EXPECT_TRUE(by_partition.emplace(hop.partition, hop).second)
+                << "partition " << hop.partition << " hopped twice";
+          }
+          EXPECT_EQ(col, forward ? j : i);
+
+          const cost::QueryDirection model_dir =
+              forward ? cost::QueryDirection::kForward
+                      : cost::QueryDirection::kBackward;
+          for (size_t p = 0; p < dec.partition_count(); ++p) {
+            auto [a, b] = dec.partition(p);
+            const cost::QueryTerm term =
+                cost::SupportedQueryTerm(model_dir, i, j, a, b);
+            auto it = by_partition.find(p);
+            if (term == cost::QueryTerm::kNone) {
+              EXPECT_EQ(it, by_partition.end()) << "uncharged partition " << p;
+              continue;
+            }
+            ASSERT_NE(it, by_partition.end()) << "charged partition " << p;
+            const Hop& hop = it->second;
+            EXPECT_EQ(hop.scan, term == cost::QueryTerm::kScan) << p;
+            EXPECT_EQ(!hop.scan && hop.from_col == (forward ? i : j),
+                      term == cost::QueryTerm::kEntryLookup)
+                << p;
+            EXPECT_EQ(hop.backward_tree, !forward && !hop.scan) << p;
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(HopPlanTest, RendersOneClausePerHop) {
+  Decomposition dec = Decomposition::Of({0, 2, 4}, 4).value();
+  EXPECT_EQ(HopPlan::Compile(dec, QueryDir::kForward, 1, 4).ToString(),
+            "scan p0.fwd 1->2; lookup p1.fwd 2->4");
+  EXPECT_EQ(HopPlan::Compile(dec, QueryDir::kBackward, 0, 3).ToString(),
+            "scan p1.fwd 3->2; lookup p0.bwd 2->0");
 }
 
 }  // namespace

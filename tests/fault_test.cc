@@ -253,22 +253,40 @@ struct TwinPair {
   std::unique_ptr<AccessSupportRelation> faulty_asr;
 };
 
+// The ASR both twins build: its decomposition, and whether its path is
+// anchored (§3) at a collection holding only the Auto division.
+struct AsrShape {
+  Decomposition decomposition = Decomposition::Binary(3);
+  bool anchored = false;
+};
+
+std::unique_ptr<AccessSupportRelation> BuildShaped(
+    asr::testing::CompanyBase* b, ExtensionKind kind, const AsrShape& shape) {
+  AsrOptions options;
+  if (shape.anchored) {
+    TypeId division_set =
+        b->schema.DefineSetType("DivisionSET", b->division_type).value();
+    options.anchor_collection = b->store->CreateSet(division_set).value();
+    ASR_CHECK(b->store
+                  ->AddToSet(options.anchor_collection,
+                             b->Key(b->auto_division))
+                  .ok());
+  }
+  return AccessSupportRelation::Build(b->store.get(),
+                                      asr::testing::MakeCompanyPath(*b), kind,
+                                      shape.decomposition, options)
+      .value();
+}
+
 TwinPair MakePair(ExtensionKind kind,
                   const storage::DiskOptions& disk_options =
-                      storage::DiskOptions::FromEnv()) {
+                      storage::DiskOptions::FromEnv(),
+                  const AsrShape& shape = {}) {
   TwinPair p;
   p.twin = asr::testing::MakeCompanyBase(disk_options);
   p.faulty = asr::testing::MakeCompanyBase(disk_options);
-  p.twin_asr =
-      AccessSupportRelation::Build(p.twin->store.get(),
-                                   asr::testing::MakeCompanyPath(*p.twin),
-                                   kind, Decomposition::Binary(3))
-          .value();
-  p.faulty_asr =
-      AccessSupportRelation::Build(p.faulty->store.get(),
-                                   asr::testing::MakeCompanyPath(*p.faulty),
-                                   kind, Decomposition::Binary(3))
-          .value();
+  p.twin_asr = BuildShaped(p.twin.get(), kind, shape);
+  p.faulty_asr = BuildShaped(p.faulty.get(), kind, shape);
   return p;
 }
 
@@ -469,8 +487,9 @@ uint64_t NonTreePageReads(storage::Disk* disk) {
   return total;
 }
 
-TEST(DegradeTest, QuarantinedPartitionAnswersByNavigationAndMetersIt) {
-  TwinPair p = MakePair(ExtensionKind::kFull);
+void ExpectQuarantineDegradesToNavigation(const AsrShape& shape) {
+  TwinPair p =
+      MakePair(ExtensionKind::kFull, storage::DiskOptions::FromEnv(), shape);
 
   // Scribble zeros over a page of partition 0's forward tree via a normal
   // write: the checksum is valid, so triage catches it structurally.
@@ -526,6 +545,24 @@ TEST(DegradeTest, QuarantinedPartitionAnswersByNavigationAndMetersIt) {
   ExpectSameAnswers(&p, "post-repair");
   EXPECT_EQ(NonTreePageReads(&p.faulty->disk), 0u);
   ExpectInvariantsClean(p.faulty_asr.get(), "post-repair");
+}
+
+// Every decomposition of the Company path: the quarantined partition 0 then
+// yields degraded hops that span several columns ((0,3), (0,2,3)) and hops
+// that enter it at an interior column (Q_{1,j} over (0,3)). The anchored ASR
+// pins the collection filter of forward navigation from column 0: the Truck
+// division reaches products, but lies outside the anchor.
+TEST(DegradeTest, QuarantinedPartitionAnswersByNavigationAndMetersIt) {
+  std::vector<AsrShape> shapes;
+  for (const Decomposition& dec : Decomposition::EnumerateAll(3)) {
+    shapes.push_back({dec, false});
+  }
+  shapes.push_back({Decomposition::Binary(3), true});
+  for (const AsrShape& shape : shapes) {
+    SCOPED_TRACE(shape.decomposition.ToString() +
+                 (shape.anchored ? " anchored" : ""));
+    ExpectQuarantineDegradesToNavigation(shape);
+  }
 }
 
 // Maintenance keeps refcounts current while a partition is quarantined, so

@@ -224,6 +224,14 @@ class ExplainTest : public ::testing::Test {
                .value();
   }
 
+  // Value of the root span's attribute `key` ("" when absent).
+  static std::string RootAttr(const ExplainResult& r, const std::string& key) {
+    for (const auto& [k, v] : r.trace.root().attrs) {
+      if (k == key) return v;
+    }
+    return "";
+  }
+
   std::unique_ptr<workload::SyntheticBase> base_;
   std::unique_ptr<AccessSupportRelation> asr_;
 };
@@ -239,6 +247,8 @@ TEST_F(ExplainTest, ForwardSupportedProducesHopSpans) {
   // Two partitions, so a nonempty result needs two hop spans.
   ASSERT_GE(r.trace.root().children.size(), 1u);
   EXPECT_EQ(r.trace.root().children[0]->name, "hop");
+  // The root carries the HopPlan: two cluster lookups over (0,2,3).
+  EXPECT_EQ(RootAttr(r, "plan"), "lookup p0.fwd 0->2; lookup p1.fwd 2->3");
 
   // Same answer as the untraced evaluation.
   std::vector<AsrKey> plain = asr_->EvalForward(start, 0, 3).value();
@@ -257,6 +267,7 @@ TEST_F(ExplainTest, BackwardSupportedProducesHopSpans) {
   ASSERT_FALSE(r.trace.empty());
   ASSERT_GE(r.trace.root().children.size(), 1u);
   EXPECT_EQ(r.trace.root().children[0]->name, "hop");
+  EXPECT_EQ(RootAttr(r, "plan"), "lookup p1.bwd 3->2; lookup p0.bwd 2->0");
   // The start object must be among the backward answers.
   EXPECT_NE(std::find(r.keys.begin(), r.keys.end(), start), r.keys.end());
 }
@@ -266,6 +277,7 @@ TEST_F(ExplainTest, NavigationalFallbackWithoutAsr) {
   AsrKey start = AsrKey::FromOid(base_->objects_at(0).front());
   ExplainResult fwd = eval.Explain(QueryDir::kForward, start, 0, 3).value();
   EXPECT_FALSE(fwd.used_asr);
+  EXPECT_EQ(RootAttr(fwd, "plan"), "navigational");
   ASSERT_FALSE(fwd.trace.empty());
   ASSERT_GE(fwd.trace.root().children.size(), 1u);
   EXPECT_EQ(fwd.trace.root().children[0]->name, "level");
