@@ -50,8 +50,9 @@
 #               artifact carries wall_ms and read_p99_us fields (the
 #               raw-speed half of the reporting contract); then runs the
 #               recovery bench and fails when any committed BENCH_*.json
-#               and its fresh run differ in their key sets (a stale
-#               artifact)
+#               and its fresh run differ in their key sets or in any
+#               metered page count (a stale artifact); wall-clock and
+#               latency values are not compared
 #   perfbench-smoke  perfbench/smoke_test.py: both ledger workloads run
 #               briefly and pass their correctness gate — the only check
 #               that runs snapshot queries under a concurrent writer and

@@ -370,40 +370,49 @@ Result<std::vector<AsrKey>> AccessSupportRelation::RunPlan(
   const std::string dir_name = forward ? "fwd" : "bwd";
   if (live) (forward ? fwd_queries_ : bwd_queries_).Inc();
   const HopPlan plan = PlanQuery(dir, i, j);
+  // Snapshots never degrade: capture requires a healthy ASR.
+  const bool any_quarantined = live && degraded();
   std::unordered_set<AsrKey> frontier{anchor};
-  for (const Hop& hop : plan.hops) {
-    if (frontier.empty()) break;
+  for (size_t h = 0; h < plan.hops.size() && !frontier.empty(); ++h) {
+    const Hop& hop = plan.hops[h];
     const Partition& part = partitions_[hop.partition];
-    // Quarantined trees degrade to object-base navigation for this path
+    // Quarantined trees degrade to object-base navigation for their path
     // slice (§4.1): same answers, navigation page counts, metered
-    // separately. Snapshots never see one: capture requires a healthy ASR.
-    const bool degraded = live && part.store->quarantined;
+    // separately. Hops [h, end) form one degraded stretch.
+    const size_t end = any_quarantined ? StretchEnd(plan, h) : h;
+    const bool navigate = end > h;
+    const uint32_t to_col = navigate ? plan.hops[end - 1].to_col : hop.to_col;
     if (live) {
       frontier_sizes_.Observe(frontier.size());
-      (degraded ? degraded_hops_ : hop.scan ? hop_scans_ : hop_lookups_).Inc();
+      (navigate ? degraded_hops_ : hop.scan ? hop_scans_ : hop_lookups_).Inc();
     }
-    if (degraded) {
+    std::string stretch;  // the partitions a degraded stretch navigates
+    if (navigate) {
+      stretch = part.store->name;
+      for (size_t k = h + 1; k < end; ++k) {
+        stretch += "," + partitions_[plan.hops[k].partition].store->name;
+      }
       obs::LiveTelemetry::Instance().degraded_hops.Inc();
       ASR_EVENT(obs::EventKind::kDegradedNavigation,
-                "dir=" + dir_name + " partition=" + part.store->name);
+                "dir=" + dir_name + " partition=" + stretch);
     }
     obs::ScopedSpan span("hop");
     if (span.active()) {
       span.Attr("dir", dir_name);
-      span.Attr("partition", part.store->name);
-      span.Attr("mode", std::string(degraded   ? "degraded"
+      span.Attr("partition", navigate ? stretch : part.store->name);
+      span.Attr("mode", std::string(navigate   ? "degraded"
                                     : hop.scan ? "scan"
                                                : "lookup"));
       span.Attr("from_col", static_cast<uint64_t>(hop.from_col));
-      span.Attr("to_col", static_cast<uint64_t>(hop.to_col));
+      span.Attr("to_col", static_cast<uint64_t>(to_col));
       span.Attr("frontier", static_cast<uint64_t>(frontier.size()));
     }
-    if (degraded) {
+    if (navigate) {
       Result<std::unordered_set<AsrKey>> reached =
-          forward ? NavigateForward(frontier, hop.from_col, hop.to_col)
-                  : NavigateBackward(frontier, hop.from_col, hop.to_col);
+          Navigate(dir, frontier, hop.from_col, to_col);
       ASR_RETURN_IF_ERROR(reached.status());
       frontier = std::move(*reached);
+      h = end - 1;
       continue;
     }
     const std::unique_ptr<btree::BTree>& tree =
@@ -433,19 +442,24 @@ Status AccessSupportRelation::Rebuild() {
       claims.emplace_back(ps->claim_mu);
     }
   }
-  // Journal envelope: log intent, rebuild, commit only if every tree write
-  // reached the disk (AnyWriteError is the durability signal — sticky write
-  // errors on the shared and private pools).
+  // Journal envelope: log intent, rebuild, then commit or mark lost.
   const uint64_t seq = journal_.BeginRebuild();
-  Status st = RebuildImpl();
+  return CloseJournalEntry(seq, RebuildImpl(), "rebuild");
+}
+
+Status AccessSupportRelation::CloseJournalEntry(uint64_t seq, Status st,
+                                                const char* what) {
+  // Commit only if every tree write reached the disk (AnyWriteError is the
+  // durability signal — sticky write errors on the shared and private
+  // pools).
   if (st.ok() && !AnyWriteError()) {
     journal_.Commit(seq);
     return st;
   }
   journal_.MarkLost(seq);
   if (st.ok()) {
-    return Status::IOError(
-        "rebuild writes were lost; ASR requires Recover()");
+    return Status::IOError(std::string(what) +
+                           " writes were lost; ASR requires Recover()");
   }
   return st;
 }

@@ -360,10 +360,10 @@ class AccessSupportRelation {
   // The one §5.6 hop executor behind EvalForward/EvalBackward here and in
   // AsrSnapshot: validates Q_{i,j}, compiles its HopPlan and runs it from
   // `anchor`. `pinned` is the tree source. nullptr runs over the live
-  // partition stores, records the query counters and routes quarantined
-  // partitions to navigation. A snapshot's captured trees get hop spans
-  // only: snapshot readers run concurrently, and the HotCounters are
-  // single-writer.
+  // partition stores, records the query counters and routes stretches over
+  // quarantined partitions to navigation. A snapshot's captured trees get
+  // hop spans only: snapshot readers run concurrently, and the HotCounters
+  // are single-writer.
   Result<std::vector<AsrKey>> RunPlan(QueryDir dir, AsrKey anchor, uint32_t i,
                                       uint32_t j, const AsrSnapshot* pinned);
 
@@ -409,6 +409,14 @@ class AccessSupportRelation {
   Status OnEdgeInsertedImpl(Oid u, uint32_t p, AsrKey w);
   Status OnEdgeRemovedImpl(Oid u, uint32_t p, AsrKey w);
   Status RebuildImpl();
+  // The one edge-maintenance wrapper behind OnEdgeInserted/OnEdgeRemoved:
+  // validates the edge, then hands off to RunEdgeTxn in transactional mode
+  // or runs the Impl inside the journal envelope.
+  Status RunEdgeOp(MaintOp op, Oid u, uint32_t p, AsrKey w);
+  // The envelope's tail: commits journal entry `seq` when `st` is OK and
+  // every tree write reached the disk, else marks it lost and returns the
+  // error (IOError naming `what` when only the writes failed).
+  Status CloseJournalEntry(uint64_t seq, Status st, const char* what);
 
   // --- transactional maintenance (txn.cc) ------------------------------
   // Journal envelope + claim/attempt/backoff retry loop around one edge
@@ -438,19 +446,20 @@ class AccessSupportRelation {
   // structure, forward/backward tuple agreement. OK = trees trustworthy.
   Status TriagePartitionStore(PartitionStore* store);
 
-  // Degraded navigation for quarantined partitions: chase the object graph
-  // between absolute relation columns (honoring retained set columns).
-  // Forward expands the frontier column by column; backward extent-scans
-  // the objects of the destination column, expands them forward, and
-  // back-propagates. Both meter through the object store's pages.
-  Result<std::unordered_set<AsrKey>> NavigateForward(
-      const std::unordered_set<AsrKey>& frontier, uint32_t from_col,
-      uint32_t to_col);
-  Result<std::unordered_set<AsrKey>> NavigateBackward(
-      const std::unordered_set<AsrKey>& frontier, uint32_t from_col,
-      uint32_t to_col);
-  // Keys at column `col + 1` reachable from `key` at column `col`.
-  Result<std::vector<AsrKey>> StepRight(AsrKey key, uint32_t col);
+  // Degraded navigation for quarantined partitions. A quarantined hop
+  // widens to a stretch: the plan's hops from the nearest path-position
+  // column before it to the nearest one after it. Returns one past the
+  // last hop of the degraded stretch starting at hop `h`, or `h` when that
+  // hop runs on its tree. With set columns dropped every column is a
+  // position, so a stretch is the quarantined hop itself.
+  size_t StretchEnd(const HopPlan& plan, size_t h) const;
+  // Answers a stretch through QueryEvaluator, the object-base navigator:
+  // `frontier` sits at column `from_col`, and the keys reached at `to_col`
+  // come back. Both columns are path positions. Position-0 keys outside an
+  // anchor_collection drop out: the forward start, or the backward result.
+  Result<std::unordered_set<AsrKey>> Navigate(
+      QueryDir dir, const std::unordered_set<AsrKey>& frontier,
+      uint32_t from_col, uint32_t to_col);
   // Path position occupying absolute column `col`, or -1 for a retained
   // set-instance column.
   int PositionOfColumn(uint32_t col) const;

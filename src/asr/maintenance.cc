@@ -347,7 +347,6 @@ Result<std::vector<rel::Row>> AccessSupportRelation::LeftFragmentsFromStore(
 Result<std::vector<rel::Row>> AccessSupportRelation::RightFragmentsFromStore(
     AsrKey w, uint32_t p1) {
   const uint32_t n = path_.n();
-  const gom::Schema& schema = store_->schema();
   // Forward traversal: references are stored with the objects, so this is
   // the cheap direction (§6.1: "a forward search is cheaper than a backward
   // search").
@@ -360,26 +359,12 @@ Result<std::vector<rel::Row>> AccessSupportRelation::RightFragmentsFromStore(
     if (q == n || !x.IsOid()) {
       out.push_back(Concat(rel::Row{x}, Nulls(n - q)));
     } else {
-      const PathStep& step = path_.step(q + 1);
-      Result<uint32_t> idx =
-          schema.FindAttribute(x.ToOid().type_id(), step.attr_name);
-      ASR_RETURN_IF_ERROR(idx.status());
-      Result<AsrKey> value = store_->GetAttribute(x.ToOid(), *idx);
-      ASR_RETURN_IF_ERROR(value.status());
-      std::vector<AsrKey> targets;
-      if (!value->IsNull()) {
-        if (step.set_occurrence) {
-          Result<gom::SetView> set = store_->GetSet(value->ToOid());
-          ASR_RETURN_IF_ERROR(set.status());
-          targets = set->members;
-        } else {
-          targets.push_back(*value);
-        }
-      }
-      if (targets.empty()) {
+      Result<std::vector<AsrKey>> targets = OutEdges(x.ToOid(), q);
+      ASR_RETURN_IF_ERROR(targets.status());
+      if (targets->empty()) {
         out.push_back(Concat(rel::Row{x}, Nulls(n - q)));
       } else {
-        for (AsrKey target : targets) {
+        for (AsrKey target : *targets) {
           Result<std::vector<rel::Row>> sub = expand(target, q + 1);
           ASR_RETURN_IF_ERROR(sub.status());
           for (const rel::Row& f : *sub) {
@@ -409,6 +394,15 @@ void Filter(std::vector<rel::Row>* rows, bool (*pred)(const rel::Row&)) {
 }  // namespace
 
 Status AccessSupportRelation::OnEdgeInserted(Oid u, uint32_t p, AsrKey w) {
+  return RunEdgeOp(MaintOp::kEdgeInsert, u, p, w);
+}
+
+Status AccessSupportRelation::OnEdgeRemoved(Oid u, uint32_t p, AsrKey w) {
+  return RunEdgeOp(MaintOp::kEdgeRemove, u, p, w);
+}
+
+Status AccessSupportRelation::RunEdgeOp(MaintOp op, Oid u, uint32_t p,
+                                        AsrKey w) {
   // Validate before logging intent: a rejected operation touches nothing
   // and must not dirty the journal.
   if (!options_.drop_set_columns) {
@@ -422,22 +416,15 @@ Status AccessSupportRelation::OnEdgeInserted(Oid u, uint32_t p, AsrKey w) {
     return Status::TypeError("u is not an instance of t_" + std::to_string(p));
   }
   if (options_.transactional) {
-    return RunEdgeTxn(MaintOp::kEdgeInsert, u, p, w);
+    return RunEdgeTxn(op, u, p, w);
   }
   // Journal envelope (§WAL discipline): intent precedes the first tree
   // write; commit requires every write to have reached the disk.
-  const uint64_t seq = journal_.BeginEdge(MaintOp::kEdgeInsert, u, p, w);
-  Status st = OnEdgeInsertedImpl(u, p, w);
-  if (st.ok() && !AnyWriteError()) {
-    journal_.Commit(seq);
-    return st;
-  }
-  journal_.MarkLost(seq);
-  if (st.ok()) {
-    return Status::IOError(
-        "ins_i writes were lost; ASR requires Recover()");
-  }
-  return st;
+  const uint64_t seq = journal_.BeginEdge(op, u, p, w);
+  const bool insert = op == MaintOp::kEdgeInsert;
+  Status st =
+      insert ? OnEdgeInsertedImpl(u, p, w) : OnEdgeRemovedImpl(u, p, w);
+  return CloseJournalEntry(seq, st, insert ? "ins_i" : "del_i");
 }
 
 Status AccessSupportRelation::OnEdgeInsertedImpl(Oid u, uint32_t p, AsrKey w) {
@@ -553,34 +540,6 @@ Status AccessSupportRelation::OnAttributeAssigned(Oid u, uint32_t p,
     ASR_RETURN_IF_ERROR(OnEdgeRemoved(u, p, old_value));
   }
   return Status::OK();
-}
-
-Status AccessSupportRelation::OnEdgeRemoved(Oid u, uint32_t p, AsrKey w) {
-  if (!options_.drop_set_columns) {
-    return Status::NotSupported(
-        "incremental maintenance requires drop_set_columns (rebuild instead)");
-  }
-  if (p >= path_.n()) {
-    return Status::InvalidArgument("edge position out of range");
-  }
-  if (!store_->schema().IsSubtypeOf(u.type_id(), path_.type_at(p))) {
-    return Status::TypeError("u is not an instance of t_" + std::to_string(p));
-  }
-  if (options_.transactional) {
-    return RunEdgeTxn(MaintOp::kEdgeRemove, u, p, w);
-  }
-  const uint64_t seq = journal_.BeginEdge(MaintOp::kEdgeRemove, u, p, w);
-  Status st = OnEdgeRemovedImpl(u, p, w);
-  if (st.ok() && !AnyWriteError()) {
-    journal_.Commit(seq);
-    return st;
-  }
-  journal_.MarkLost(seq);
-  if (st.ok()) {
-    return Status::IOError(
-        "del_i writes were lost; ASR requires Recover()");
-  }
-  return st;
 }
 
 Status AccessSupportRelation::OnEdgeRemovedImpl(Oid u, uint32_t p, AsrKey w) {

@@ -34,9 +34,8 @@ Status QueryEvaluator::ExpandLevel(
   return Status::OK();
 }
 
-Result<std::vector<AsrKey>> QueryEvaluator::ForwardNoSupport(AsrKey start,
-                                                             uint32_t i,
-                                                             uint32_t j) {
+Result<std::vector<AsrKey>> QueryEvaluator::Forward(std::vector<AsrKey> starts,
+                                                    uint32_t i, uint32_t j) {
   if (i >= j || j > path_->n()) {
     return Status::InvalidArgument("need 0 <= i < j <= n");
   }
@@ -45,7 +44,7 @@ Result<std::vector<AsrKey>> QueryEvaluator::ForwardNoSupport(AsrKey start,
   // semantics until the end: ExpandLevel dedupes its sources and a final
   // unique pass collapses the result. One edges/sources pair is reused
   // across levels instead of reallocating per level.
-  std::vector<AsrKey> sources{start};
+  std::vector<AsrKey> sources = std::move(starts);
   std::vector<std::pair<AsrKey, AsrKey>> edges;
   for (uint32_t q = i; q < j; ++q) {
     frontier_sizes_.Observe(sources.size());
@@ -67,9 +66,8 @@ Result<std::vector<AsrKey>> QueryEvaluator::ForwardNoSupport(AsrKey start,
   return sources;
 }
 
-Result<std::vector<AsrKey>> QueryEvaluator::BackwardNoSupport(AsrKey target,
-                                                              uint32_t i,
-                                                              uint32_t j) {
+Result<std::vector<AsrKey>> QueryEvaluator::Backward(
+    const std::vector<AsrKey>& targets, uint32_t i, uint32_t j) {
   if (i >= j || j > path_->n()) {
     return Status::InvalidArgument("need 0 <= i < j <= n");
   }
@@ -120,9 +118,9 @@ Result<std::vector<AsrKey>> QueryEvaluator::BackwardNoSupport(AsrKey target,
     for (const auto& [src, dst] : edges) sources.push_back(dst);
   }
 
-  // Back-propagate connectivity from the target (in memory).
+  // Back-propagate connectivity from the targets (in memory).
   obs::ScopedSpan backprop("backpropagate");
-  std::unordered_set<AsrKey> reaching{target};
+  std::unordered_set<AsrKey> reaching(targets.begin(), targets.end());
   for (uint32_t q = j; q-- > i;) {
     std::unordered_set<AsrKey> prev;
     for (const auto& [src, dst] : level_edges[q]) {

@@ -1,13 +1,15 @@
 // Navigational (unsupported) evaluation of forward and backward path queries
 // over the object representation — the baseline the paper's Qnas formulas
-// model (§5.6).
+// model (§5.6). QueryEvaluator is the one object-base navigator: it answers
+// unsupported queries, and the ASR's degraded hops over quarantined
+// partitions.
 //
-// Forward queries chase references level by level from one anchor object;
+// Forward queries chase references level by level from the anchor objects;
 // every referenced object is fetched once per level, in page-batched order
 // (Eq. 31). Backward queries cannot chase uni-directional references against
 // their direction, so they perform the exhaustive search of §5.6.2: scan the
 // full extent of t_i, then touch every object of the intermediate types that
-// lies on any path, and finally select the t_i objects connected to the
+// lies on any path, and finally select the t_i objects connected to a
 // target (Eq. 32).
 #ifndef ASR_ASR_QUERY_H_
 #define ASR_ASR_QUERY_H_
@@ -40,15 +42,26 @@ class QueryEvaluator {
   QueryEvaluator(gom::ObjectStore* store, const PathExpression* path)
       : store_(store), path_(path) {}
 
-  // Q_{i,j}(fw) without access support: keys at position j reachable from
-  // `start`, an object at position i.
-  Result<std::vector<AsrKey>> ForwardNoSupport(AsrKey start, uint32_t i,
-                                               uint32_t j);
+  // Q_{i,j}(fw) without access support over a frontier: keys at position j
+  // reachable from any of `starts`, objects at position i.
+  Result<std::vector<AsrKey>> Forward(std::vector<AsrKey> starts, uint32_t i,
+                                      uint32_t j);
 
-  // Q_{i,j}(bw) without access support: position-i objects with at least one
-  // path to `target`, a position-j object (or atomic value when j == n).
+  // Q_{i,j}(bw) without access support over a frontier: position-i objects
+  // with at least one path to any of `targets`, position-j objects (or
+  // atomic values when j == n).
+  Result<std::vector<AsrKey>> Backward(const std::vector<AsrKey>& targets,
+                                       uint32_t i, uint32_t j);
+
+  // The one-key forms: Q_{i,j} from `start`, and to `target`.
+  Result<std::vector<AsrKey>> ForwardNoSupport(AsrKey start, uint32_t i,
+                                               uint32_t j) {
+    return Forward({start}, i, j);
+  }
   Result<std::vector<AsrKey>> BackwardNoSupport(AsrKey target, uint32_t i,
-                                                uint32_t j);
+                                                uint32_t j) {
+    return Backward({target}, i, j);
+  }
 
   // EXPLAIN: evaluates Q_{i,j} in `dir` under a trace and returns the answer
   // together with the span tree (per-stage page reads/writes, buffer

@@ -12,10 +12,10 @@
 // their path slice answered by object-base navigation (correct answers,
 // navigation page counts) until Repair() bulk-rebuilds them.
 #include <algorithm>
-#include <unordered_map>
 #include <utility>
 
 #include "asr/access_support_relation.h"
+#include "asr/query.h"
 #include "obs/events.h"
 #include "obs/span.h"
 
@@ -322,134 +322,47 @@ int AccessSupportRelation::PositionOfColumn(uint32_t col) const {
   return -1;
 }
 
-Result<std::vector<AsrKey>> AccessSupportRelation::StepRight(AsrKey key,
-                                                             uint32_t col) {
-  const int q = PositionOfColumn(col);
-  if (q < 0) {
-    // Retained set-instance column: `key` is the set; its members occupy
-    // the next column.
-    if (!key.IsOid()) return std::vector<AsrKey>{};
-    Result<gom::SetView> set = store_->GetSet(key.ToOid());
-    ASR_RETURN_IF_ERROR(set.status());
-    return set->members;
-  }
-  ASR_CHECK(static_cast<uint32_t>(q) < path_.n());
-  if (!key.IsOid()) return std::vector<AsrKey>{};
-  const PathStep& step = path_.step(static_cast<uint32_t>(q) + 1);
-  Result<uint32_t> idx =
-      store_->schema().FindAttribute(key.ToOid().type_id(), step.attr_name);
-  ASR_RETURN_IF_ERROR(idx.status());
-  Result<AsrKey> value = store_->GetAttribute(key.ToOid(), *idx);
-  ASR_RETURN_IF_ERROR(value.status());
-  if (value->IsNull()) return std::vector<AsrKey>{};
-  if (!step.set_occurrence) return std::vector<AsrKey>{*value};
-  if (!options_.drop_set_columns) {
-    // The set instance itself occupies the next (retained) column.
-    return std::vector<AsrKey>{*value};
-  }
-  Result<gom::SetView> set = store_->GetSet(value->ToOid());
-  ASR_RETURN_IF_ERROR(set.status());
-  return set->members;
+size_t AccessSupportRelation::StretchEnd(const HopPlan& plan, size_t h) const {
+  // A hop leaving a set-instance column continues a stretch that began
+  // earlier; the executor reaches it only when that stretch was healthy.
+  if (PositionOfColumn(plan.hops[h].from_col) < 0) return h;
+  size_t end = h;
+  bool quarantined = false;
+  do {
+    quarantined |= partitions_[plan.hops[end].partition].store->quarantined;
+  } while (PositionOfColumn(plan.hops[end++].to_col) < 0);
+  return quarantined ? end : h;
 }
 
-Result<std::unordered_set<AsrKey>> AccessSupportRelation::NavigateForward(
-    const std::unordered_set<AsrKey>& frontier, uint32_t from_col,
-    uint32_t to_col) {
-  std::unordered_set<AsrKey> cur = frontier;
+Result<std::unordered_set<AsrKey>> AccessSupportRelation::Navigate(
+    QueryDir dir, const std::unordered_set<AsrKey>& frontier,
+    uint32_t from_col, uint32_t to_col) {
+  const bool forward = dir == QueryDir::kForward;
+  const int i = PositionOfColumn(forward ? from_col : to_col);
+  const int j = PositionOfColumn(forward ? to_col : from_col);
+  ASR_CHECK(i >= 0 && j >= 0);
   // An anchored ASR (§3) materializes only paths originating in C; the
-  // navigation fallback must filter the same way.
-  if (from_col == ColumnOfPosition(0) &&
-      !options_.anchor_collection.IsNull()) {
-    std::unordered_set<AsrKey> anchored;
-    for (AsrKey key : cur) {
+  // navigation fallback filters its position-0 keys the same way.
+  const bool anchored = i == 0 && !options_.anchor_collection.IsNull();
+  auto keep_anchored = [&](std::vector<AsrKey>* keys) -> Status {
+    std::vector<AsrKey> kept;
+    for (AsrKey key : *keys) {
       Result<bool> member =
           store_->SetContains(options_.anchor_collection, key);
       ASR_RETURN_IF_ERROR(member.status());
-      if (*member) anchored.insert(key);
+      if (*member) kept.push_back(key);
     }
-    cur = std::move(anchored);
-  }
-  for (uint32_t col = from_col; col < to_col && !cur.empty(); ++col) {
-    std::unordered_set<AsrKey> next;
-    for (AsrKey key : cur) {
-      if (key.IsNull()) continue;
-      Result<std::vector<AsrKey>> succ = StepRight(key, col);
-      ASR_RETURN_IF_ERROR(succ.status());
-      next.insert(succ->begin(), succ->end());
-    }
-    cur = std::move(next);
-  }
-  return cur;
-}
-
-Result<std::unordered_set<AsrKey>> AccessSupportRelation::NavigateBackward(
-    const std::unordered_set<AsrKey>& frontier, uint32_t from_col,
-    uint32_t to_col) {
-  ASR_CHECK(to_col < from_col);
-  const int q = PositionOfColumn(to_col);
-  if (q < 0) {
-    return Status::NotSupported(
-        "degraded backward navigation cannot enter a retained set-instance "
-        "column; Repair() the quarantined partition first");
-  }
-  // References are stored with the referencing object, so the backward hop
-  // is answered the §5.6.2 way: enumerate the candidate objects of the
-  // destination position, expand them forward, and back-propagate.
-  const gom::Schema& schema = store_->schema();
-  std::unordered_set<AsrKey> candidates;
-  for (TypeId t = 0; t < schema.type_count(); ++t) {
-    if (!schema.IsTuple(t) ||
-        !schema.IsSubtypeOf(t, path_.type_at(static_cast<uint32_t>(q)))) {
-      continue;
-    }
-    Status st = store_->ScanTuples(t, [&](const gom::TupleView& view) {
-      candidates.insert(AsrKey::FromOid(view.oid));
-      return Status::OK();
-    });
-    ASR_RETURN_IF_ERROR(st);
-  }
-  if (q == 0 && !options_.anchor_collection.IsNull()) {
-    std::unordered_set<AsrKey> anchored;
-    for (AsrKey key : candidates) {
-      Result<bool> member =
-          store_->SetContains(options_.anchor_collection, key);
-      ASR_RETURN_IF_ERROR(member.status());
-      if (*member) anchored.insert(key);
-    }
-    candidates = std::move(anchored);
-  }
-  // Forward expansion with per-column predecessor lists.
-  const uint32_t span_cols = from_col - to_col;
-  std::vector<std::unordered_map<AsrKey, std::vector<AsrKey>>> preds(
-      span_cols);
-  std::unordered_set<AsrKey> cur = candidates;
-  for (uint32_t col = to_col; col < from_col && !cur.empty(); ++col) {
-    std::unordered_set<AsrKey> next;
-    auto& pm = preds[col - to_col];
-    for (AsrKey key : cur) {
-      if (key.IsNull()) continue;
-      Result<std::vector<AsrKey>> succ = StepRight(key, col);
-      ASR_RETURN_IF_ERROR(succ.status());
-      for (AsrKey s : *succ) {
-        pm[s].push_back(key);
-        next.insert(s);
-      }
-    }
-    cur = std::move(next);
-  }
-  // Back-propagate the frontier to the destination column.
-  std::unordered_set<AsrKey> level = frontier;
-  for (uint32_t col = from_col; col > to_col && !level.empty(); --col) {
-    const auto& pm = preds[col - to_col - 1];
-    std::unordered_set<AsrKey> prev;
-    for (AsrKey key : level) {
-      auto it = pm.find(key);
-      if (it == pm.end()) continue;
-      prev.insert(it->second.begin(), it->second.end());
-    }
-    level = std::move(prev);
-  }
-  return level;
+    *keys = std::move(kept);
+    return Status::OK();
+  };
+  std::vector<AsrKey> keys(frontier.begin(), frontier.end());
+  if (anchored && forward) ASR_RETURN_IF_ERROR(keep_anchored(&keys));
+  QueryEvaluator nav(store_, &path_);
+  Result<std::vector<AsrKey>> reached =
+      forward ? nav.Forward(std::move(keys), i, j) : nav.Backward(keys, i, j);
+  ASR_RETURN_IF_ERROR(reached.status());
+  if (anchored && !forward) ASR_RETURN_IF_ERROR(keep_anchored(&*reached));
+  return std::unordered_set<AsrKey>(reached->begin(), reached->end());
 }
 
 }  // namespace asr

@@ -192,10 +192,6 @@ Status AccessSupportRelation::RunEdgeTxn(MaintOp op, Oid u, uint32_t p,
   }
   obs::LiveTelemetry::Instance().txn_retries.Observe(attempt);
   if (span.active()) span.Attr("retries", static_cast<uint64_t>(attempt));
-  if (st.ok() && !AnyWriteError()) {
-    journal_.Commit(seq);
-    return st;
-  }
   if (st.IsAborted()) {
     // Every retry lost its conflict and rolled back cleanly: the disk never
     // saw the operation, so the intent resolves with no recovery debt. The
@@ -203,12 +199,7 @@ Status AccessSupportRelation::RunEdgeTxn(MaintOp op, Oid u, uint32_t p,
     journal_.MarkAborted(seq);
     return st;
   }
-  journal_.MarkLost(seq);
-  if (st.ok()) {
-    return Status::IOError(
-        "transactional maintenance writes were lost; ASR requires Recover()");
-  }
-  return st;
+  return CloseJournalEntry(seq, st, "transactional maintenance");
 }
 
 }  // namespace asr

@@ -253,16 +253,21 @@ struct TwinPair {
   std::unique_ptr<AccessSupportRelation> faulty_asr;
 };
 
-// The ASR both twins build: its decomposition, and whether its path is
-// anchored (§3) at a collection holding only the Auto division.
+// The ASR both twins build: its decomposition, whether its path is
+// anchored (§3) at a collection holding only the Auto division, whether it
+// drops the set-instance columns, and the partition a degradation test
+// quarantines.
 struct AsrShape {
   Decomposition decomposition = Decomposition::Binary(3);
   bool anchored = false;
+  bool drop_set_columns = true;
+  size_t quarantine_partition = 0;
 };
 
 std::unique_ptr<AccessSupportRelation> BuildShaped(
     asr::testing::CompanyBase* b, ExtensionKind kind, const AsrShape& shape) {
   AsrOptions options;
+  options.drop_set_columns = shape.drop_set_columns;
   if (shape.anchored) {
     TypeId division_set =
         b->schema.DefineSetType("DivisionSET", b->division_type).value();
@@ -491,9 +496,10 @@ void ExpectQuarantineDegradesToNavigation(const AsrShape& shape) {
   TwinPair p =
       MakePair(ExtensionKind::kFull, storage::DiskOptions::FromEnv(), shape);
 
-  // Scribble zeros over a page of partition 0's forward tree via a normal
+  // Scribble zeros over a page of the partition's forward tree via a normal
   // write: the checksum is valid, so triage catches it structurally.
-  uint32_t seg = p.faulty_asr->partition_store(0)->forward->segment();
+  uint32_t seg = p.faulty_asr->partition_store(shape.quarantine_partition)
+                     ->forward->segment();
   Page zeros;
   ASSERT_TRUE(p.faulty->disk.WritePage(PageId{seg, 0}, zeros).ok());
   p.faulty->buffers.DropAll();  // drop any cached copy of the page
@@ -551,16 +557,27 @@ void ExpectQuarantineDegradesToNavigation(const AsrShape& shape) {
 // yields degraded hops that span several columns ((0,3), (0,2,3)) and hops
 // that enter it at an interior column (Q_{1,j} over (0,3)). The anchored ASR
 // pins the collection filter of forward navigation from column 0: the Truck
-// division reaches products, but lies outside the anchor.
+// division reaches products, but lies outside the anchor. The two ASRs with
+// retained set columns quarantine a partition whose lower boundary is a
+// set-instance column (1 and 3 of Binary(5)): degraded hops there widen to
+// the path positions around them, in both directions.
 TEST(DegradeTest, QuarantinedPartitionAnswersByNavigationAndMetersIt) {
   std::vector<AsrShape> shapes;
   for (const Decomposition& dec : Decomposition::EnumerateAll(3)) {
-    shapes.push_back({dec, false});
+    shapes.push_back({.decomposition = dec});
   }
-  shapes.push_back({Decomposition::Binary(3), true});
+  shapes.push_back({.anchored = true});
+  for (size_t quarantined : {1, 3}) {
+    shapes.push_back({.decomposition = Decomposition::Binary(5),
+                      .drop_set_columns = false,
+                      .quarantine_partition = quarantined});
+  }
   for (const AsrShape& shape : shapes) {
     SCOPED_TRACE(shape.decomposition.ToString() +
-                 (shape.anchored ? " anchored" : ""));
+                 (shape.anchored ? " anchored" : "") +
+                 (shape.drop_set_columns ? "" : " sets retained") +
+                 " partition " + std::to_string(shape.quarantine_partition) +
+                 " quarantined");
     ExpectQuarantineDegradesToNavigation(shape);
   }
 }
