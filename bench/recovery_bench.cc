@@ -18,7 +18,7 @@
 
 #include "asr/access_support_relation.h"
 #include "bench_util.h"
-#include "obs/latency.h"
+#include "obs/metrics.h"
 #include "storage/backend.h"
 #include "storage/fault_injector.h"
 #include "storage/file_backend.h"
@@ -114,17 +114,16 @@ uint64_t NonTreePageReads(asr::storage::Disk* disk) {
 }
 
 // One multi-writer run: W threads over ONE transactional ASR, each toggling
-// its own edge. Claims serialize the writers through Aborted-claim retries
-// with backoff; storage-level commit conflicts stay on the MVCC
-// first-committer-wins path. Committed ops come from the maintenance
-// journal, conflicts/retries from the MVCC manager and the telemetry hub.
+// its own edge. The writers take turns on the partition claims, blocking;
+// the MVCC first-committer-wins check stays underneath as the safety net,
+// and its conflict count must stay zero. Committed ops come from the
+// maintenance journal, commits and conflicts from the MVCC manager.
 struct MultiWriterCost {
   uint32_t writers = 0;
   uint64_t ops_committed = 0;
-  uint64_t ops_aborted = 0;   // exhausted retries (should be zero)
+  uint64_t ops_aborted = 0;   // commit-time conflicts (should be zero)
   uint64_t txn_commits = 0;   // storage commit groups
   uint64_t txn_conflicts = 0; // storage-level first-committer losses
-  uint64_t retries = 0;       // claim-retry attempts beyond the first
   double wall_ms = 0;
 
   double ops_per_sec() const {
@@ -149,8 +148,6 @@ MultiWriterCost RunMultiWriterWorkload(const asr::cost::ApplicationProfile&
   base->disk()->AttachMvcc(&mvcc);
   AsrOptions options;
   options.transactional = true;
-  options.txn_max_retries = 64;
-  options.txn_backoff_us = 20;
   auto asr = AccessSupportRelation::Build(
                  base->store(), base->path(), ExtensionKind::kFull,
                  Decomposition::Binary(base->path().n()), options)
@@ -175,8 +172,6 @@ MultiWriterCost RunMultiWriterWorkload(const asr::cost::ApplicationProfile&
     }
   }
 
-  obs::LiveTelemetry& hub = obs::LiveTelemetry::Instance();
-  hub.Reset();
   const uint64_t journal_before = asr->journal().committed();
   const uint64_t commits_before = mvcc.commits().value();
   std::vector<std::thread> fleet;
@@ -201,8 +196,6 @@ MultiWriterCost RunMultiWriterWorkload(const asr::cost::ApplicationProfile&
   cost.ops_aborted = asr->journal().aborted();
   cost.txn_commits = mvcc.commits().value() - commits_before;
   cost.txn_conflicts = mvcc.conflicts().value();
-  cost.retries = hub.txn_retries.snapshot().sum;
-  hub.Reset();
   return cost;
 }
 
@@ -410,29 +403,31 @@ int main() {
             group_cost.fsyncs * 4 <= page_cost.fsyncs);
 
   // --- Multi-writer: transactional throughput on one shared ASR -----------
-  // W writer threads toggle disjoint edges through the claim-and-retry
-  // transactional path. Committed ops must equal the offered load at every
-  // width (no writer may exhaust its retries); the conflict and retry
-  // columns show what the serialization cost.
-  const uint32_t widths[3] = {1, 2, 4};
-  const uint32_t kMwIters = 50;
-  MultiWriterCost mw[3];
-  for (int i = 0; i < 3; ++i) {
+  // W writer threads toggle disjoint edges through the transactional path,
+  // waiting on the partition claims in turn. Committed ops must equal the
+  // offered load at every width with nothing aborted; the conflict column
+  // shows the first-committer-wins check never firing under the claims.
+  // 500 iterations per writer keep every width above ~50 ms of wall time,
+  // long enough for the rows to reproduce.
+  constexpr int kMwWidths = 4;
+  const uint32_t widths[kMwWidths] = {1, 2, 4, 8};
+  const uint32_t kMwIters = 500;
+  MultiWriterCost mw[kMwWidths];
+  for (int i = 0; i < kMwWidths; ++i) {
     mw[i] = RunMultiWriterWorkload(profile, widths[i], kMwIters);
   }
-  Header({"writers", "ops", "wall ms", "ops/sec", "conflicts", "retries"});
-  for (int i = 0; i < 3; ++i) {
+  Header({"writers", "ops", "wall ms", "ops/sec", "conflicts"});
+  for (int i = 0; i < kMwWidths; ++i) {
     Cell(static_cast<double>(mw[i].writers));
     Cell(static_cast<double>(mw[i].ops_committed));
     Cell(mw[i].wall_ms);
     Cell(mw[i].ops_per_sec());
     Cell(static_cast<double>(mw[i].txn_conflicts));
-    Cell(static_cast<double>(mw[i].retries));
     EndRow();
   }
   std::printf("\n");
   bool mw_all_committed = true;
-  for (int i = 0; i < 3; ++i) {
+  for (int i = 0; i < kMwWidths; ++i) {
     mw_all_committed = mw_all_committed &&
                        mw[i].ops_committed ==
                            static_cast<uint64_t>(widths[i]) * 2 * kMwIters &&
@@ -505,20 +500,18 @@ int main() {
                      : 0.0);
     std::fprintf(json, "  },\n");
     std::fprintf(json, "  \"multi_writer\": [\n");
-    for (int i = 0; i < 3; ++i) {
+    for (int i = 0; i < kMwWidths; ++i) {
       std::fprintf(json,
                    "    {\"writers\": %u, \"ops_committed\": %llu, "
                    "\"wall_ms\": %.3f, \"ops_per_sec\": %.1f, "
                    "\"txn_commits\": %llu, \"txn_conflicts\": %llu, "
-                   "\"conflict_ratio\": %.3f, \"retries\": %llu}%s\n",
+                   "\"conflict_ratio\": %.3f}%s\n",
                    mw[i].writers,
                    static_cast<unsigned long long>(mw[i].ops_committed),
                    mw[i].wall_ms, mw[i].ops_per_sec(),
                    static_cast<unsigned long long>(mw[i].txn_commits),
                    static_cast<unsigned long long>(mw[i].txn_conflicts),
-                   mw[i].conflict_ratio(),
-                   static_cast<unsigned long long>(mw[i].retries),
-                   i + 1 < 3 ? "," : "");
+                   mw[i].conflict_ratio(), i + 1 < kMwWidths ? "," : "");
     }
     std::fprintf(json, "  ],\n");
     std::fprintf(

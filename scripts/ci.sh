@@ -57,6 +57,11 @@
 #               briefly and pass their correctness gate — the only check
 #               that runs snapshot queries under a concurrent writer and
 #               checks their answers
+#   ledger-tsan  the perfbench ledger built with -fsanitize=thread (in a
+#               temp dir outside the repo) runs snapshot_rw for 4 s with
+#               --trace 0 and --trace 1: one writer and two snapshot readers
+#               compete for the partition claims nonstop. Any TSan report, a
+#               non-zero exit or "correct": false fails the job
 #
 # Usage: scripts/ci.sh [jobs]
 set -euo pipefail
@@ -160,5 +165,29 @@ rm -rf "$BENCH_DIR"
 
 echo "==== [perfbench-smoke] ledger workloads, answers checked ===="
 python3 perfbench/smoke_test.py
+
+echo "==== [ledger-tsan] snapshot_rw ledger under TSan ===="
+LEDGER_DIR="$(mktemp -d)"
+cmake -S perfbench -B "$LEDGER_DIR/build" \
+  -DCMAKE_CXX_FLAGS="-fsanitize=thread -g" \
+  -DCMAKE_EXE_LINKER_FLAGS=-fsanitize=thread
+cmake --build "$LEDGER_DIR/build" --target ledger -j "$JOBS"
+for trace in 0 1; do
+  mkdir "$LEDGER_DIR/data-$trace"
+  status=0
+  TSAN_OPTIONS=halt_on_error=1 "$LEDGER_DIR/build/ledger" \
+    --workload snapshot_rw --seed 5 --seconds 4 --trace "$trace" \
+    --dir "$LEDGER_DIR/data-$trace" \
+    >"$LEDGER_DIR/out-$trace" 2>"$LEDGER_DIR/err-$trace" || status=$?
+  if [ "$status" -ne 0 ] ||
+    grep -q "ThreadSanitizer" "$LEDGER_DIR/err-$trace" ||
+    ! tail -n 1 "$LEDGER_DIR/out-$trace" | grep -q '"correct": true'; then
+    cat "$LEDGER_DIR/err-$trace" >&2
+    tail -n 1 "$LEDGER_DIR/out-$trace" >&2
+    echo "ledger-tsan: --trace $trace failed (exit $status)" >&2
+    exit 1
+  fi
+done
+rm -rf "$LEDGER_DIR"
 
 echo "==== all CI jobs passed ===="

@@ -431,17 +431,12 @@ Result<std::vector<AsrKey>> AccessSupportRelation::RunPlan(
 
 Status AccessSupportRelation::Rebuild() {
   // Transactional mode: hold every partition claim for the whole rebuild so
-  // concurrent edge writers serialize against it (blocking, in the same
-  // address order the try-lockers use — deadlock-free because try-lockers
-  // never hold-and-wait). Snapshot readers are unaffected: solely-owned
-  // stores rebuild into fresh segments, and retractions from shared stores
-  // auto-version, so a snapshot's epoch keeps reading the old images.
+  // concurrent edge writers and snapshot captures wait for it. Open
+  // snapshots are unaffected: solely-owned stores rebuild into fresh
+  // segments, and retractions from shared stores auto-version, so a
+  // snapshot's epoch keeps reading the old images.
   std::vector<std::unique_lock<std::mutex>> claims;
-  if (options_.transactional) {
-    for (PartitionStore* ps : DistinctStores()) {
-      claims.emplace_back(ps->claim_mu);
-    }
-  }
+  if (options_.transactional) claims = ClaimStores();
   // Journal envelope: log intent, rebuild, then commit or mark lost.
   const uint64_t seq = journal_.BeginRebuild();
   return CloseJournalEntry(seq, RebuildImpl(), "rebuild");

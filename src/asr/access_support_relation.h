@@ -71,7 +71,7 @@ struct AsrOptions {
   // --- Transactional maintenance (beyond the paper) ----------------------
   // Route every edge-maintenance operation through a page transaction
   // (storage/mvcc.h): tree writes stage privately, commit as one epoch, and
-  // roll back cleanly on conflict. Enables multi-writer maintenance of ASRs
+  // roll back cleanly on failure. Enables multi-writer maintenance of ASRs
   // over disjoint partitions (writers sharing a partition store serialize on
   // its claim) and OpenSnapshot() readers that see a consistent committed
   // epoch while maintenance is mid-flight. Requires the disk to have an
@@ -81,15 +81,8 @@ struct AsrOptions {
   // bit-identical to the single-writer library.
   bool transactional = false;
 
-  // Commit-conflict retry policy: attempts per operation and the base of the
-  // exponential (jittered) backoff between them. Env overrides:
-  // ASR_TXN_RETRIES, ASR_TXN_BACKOFF_US.
+  // Read by nothing: edge operations block on their claims. perfbench sets it.
   uint32_t txn_max_retries = 8;
-  uint32_t txn_backoff_us = 100;
-
-  // Applies the environment overrides above (call sites that want env
-  // configuration do so explicitly; defaults stay env-independent).
-  static AsrOptions FromEnv();
 };
 
 // Storage of one partition, shareable between access support relations over
@@ -124,13 +117,10 @@ struct PartitionStore {
   // object store's shared pool. Needed to recreate trees on ResetTrees.
   storage::BufferManager* buffers = nullptr;
 
-  // Transactional-mode writer claim. An edge operation try-locks the claim
-  // of every store it spans (address order) before touching refcounts or
-  // trees; failure to acquire means another writer is mid-operation on a
-  // shared store and the op aborts for backoff — the ASR-level conflict
-  // surface, with storage-level OCC as the safety net. Snapshot capture and
-  // rebuilds take the same claims blocking (deadlock-free because try-lockers
-  // never hold-and-wait).
+  // Transactional-mode writer claim, the ASR's one writer control. Edge
+  // operations, snapshot capture and rebuilds all lock the claims of every
+  // store they span, blocking, in address order (ClaimStores), so a writer
+  // on a shared store waits until the previous one finished.
   std::mutex claim_mu;
 
   // Creates a store with two empty trees named `name`:fwd/:bwd, width
@@ -419,16 +409,16 @@ class AccessSupportRelation {
   Status CloseJournalEntry(uint64_t seq, Status st, const char* what);
 
   // --- transactional maintenance (txn.cc) ------------------------------
-  // Journal envelope + claim/attempt/backoff retry loop around one edge
-  // operation; the transactional counterpart of the wrappers above.
+  // The transactional counterpart of the wrappers above: journal envelope,
+  // claim every store, stage tree writes in a PageTransaction and commit;
+  // on a failed flush or commit roll everything back (staged pages dropped,
+  // tree metas restored, in-memory rows/refcounts undone).
   Status RunEdgeTxn(MaintOp op, Oid u, uint32_t p, AsrKey w);
-  // One optimistic attempt: claim stores (try-lock, address order), stage
-  // tree writes in a PageTransaction, commit; on claim failure or commit
-  // conflict roll everything back (staged pages dropped, tree metas
-  // restored, in-memory rows/refcounts undone) and return Aborted.
-  Status AttemptEdgeTxn(MaintOp op, Oid u, uint32_t p, AsrKey w);
   // Distinct partition stores, address-sorted (the canonical claim order).
   std::vector<PartitionStore*> DistinctStores() const;
+  // Locks every distinct store's claim_mu, blocking, in DistinctStores()
+  // order; the claims release with the returned locks.
+  std::vector<std::unique_lock<std::mutex>> ClaimStores() const;
   // Registers every partition tree segment with the disk's MvccManager.
   // FailedPrecondition when none is attached. Idempotent; re-run after any
   // path that gives a store fresh segments (ResetTrees/RebuildTrees).

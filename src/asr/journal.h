@@ -61,8 +61,8 @@ enum class JournalState {
   kCommitted,
   kLost,
   kRecovered,
-  // Resolved with no effect: a transactional attempt lost every conflict
-  // retry and rolled back cleanly. Unlike kLost, nothing on disk is in
+  // Resolved with no effect: a transactional operation lost a commit-time
+  // conflict and rolled back cleanly. Unlike kLost, nothing on disk is in
   // doubt, so an aborted entry carries no recovery obligation.
   kAborted,
 };

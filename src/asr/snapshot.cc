@@ -25,13 +25,9 @@ Result<std::unique_ptr<AsrSnapshot>> AccessSupportRelation::OpenSnapshot() {
     return Status::NotSupported(
         "cannot snapshot a degraded ASR; run Repair() first");
   }
-  // Claims (blocking, canonical address order) fence the capture against
-  // in-flight writers: the epoch and the tree Metas are taken at an
-  // operation boundary, together.
-  std::vector<std::unique_lock<std::mutex>> claims;
-  for (PartitionStore* ps : DistinctStores()) {
-    claims.emplace_back(ps->claim_mu);
-  }
+  // Claims fence the capture against in-flight writers: the epoch and the
+  // tree Metas are taken at an operation boundary, together.
+  std::vector<std::unique_lock<std::mutex>> claims = ClaimStores();
   for (PartitionStore* ps : DistinctStores()) {
     // Committed transactions already wrote through; this sweeps any
     // remaining buffered page (e.g. build leftovers) to the backend so the

@@ -1,67 +1,32 @@
 // Transactional edge maintenance: the multi-writer counterpart of the
 // journal-enveloped single-writer path in maintenance.cc.
 //
-// One operation = claim the partition stores it spans (try-lock, address
-// order), run the ordinary ins_i/del_i implementation with every tree write
-// staged in a storage::PageTransaction, flush the staged pages and commit
-// them as one epoch. Two rollback mechanisms pair up on failure: staged page
-// images are dropped and each tree's Meta is restored (the physical side),
-// and the undo log reverses the in-memory full_rows_/refcount edits (the
-// logical side). A failed claim or a commit-time conflict surfaces as
-// Aborted; RunEdgeTxn backs off and retries against the new epoch.
+// One operation = claim the partition stores it spans, run the ordinary
+// ins_i/del_i implementation with every tree write staged in a
+// storage::PageTransaction, flush the staged pages and commit them as one
+// epoch. Two rollback mechanisms pair up when the flush or the commit
+// fails: staged page images are dropped and each tree's Meta is restored
+// (the physical side), and the undo log reverses the in-memory
+// full_rows_/refcount edits (the logical side).
 //
-// The claim protocol is the ASR-level conflict surface: writers over
-// disjoint partition stores never contend, writers sharing a store
-// serialize, and the storage layer's first-committer-wins check is the
-// safety net underneath. Try-lockers release everything on failure (no
-// hold-and-wait), so the blocking lockers — snapshot capture and Rebuild,
-// both taking claims in the same address order — cannot deadlock with them.
+// The partition claim is the ASR's one writer control: writers over
+// disjoint partition stores never contend, and writers sharing a store take
+// turns on its claim, so the storage layer's first-committer-wins check
+// cannot lose to another claimed writer. Deadlock freedom rests on one
+// rule, kept by ClaimStores() for every claimer (edge operations, snapshot
+// capture, Rebuild): claims are taken blocking in one global address order,
+// and a claimer holds no other claim while it waits.
 
 #include <algorithm>
-#include <chrono>
-#include <cstdlib>
-#include <functional>
-#include <thread>
+#include <mutex>
 #include <vector>
 
 #include "asr/access_support_relation.h"
 #include "btree/btree.h"
-#include "obs/latency.h"
 #include "obs/span.h"
 #include "storage/mvcc.h"
 
 namespace asr {
-
-namespace {
-
-// Deterministic per-thread jittered exponential backoff. No clock reads
-// (this is a metering path): the jitter seed is the thread id hashed through
-// an LCG step, varied per attempt.
-uint32_t BackoffMicros(uint32_t base_us, uint32_t attempt) {
-  const uint64_t seed =
-      std::hash<std::thread::id>{}(std::this_thread::get_id()) ^
-      (static_cast<uint64_t>(attempt) * 0x9E3779B97F4A7C15ull);
-  const uint64_t mixed = seed * 6364136223846793005ull + 1442695040888963407ull;
-  const uint32_t cap = base_us << std::min<uint32_t>(attempt, 10);
-  if (cap == 0) return 0;
-  return static_cast<uint32_t>(mixed % cap) + 1;
-}
-
-uint32_t EnvU32(const char* name, uint32_t fallback) {
-  const char* v = std::getenv(name);
-  if (v == nullptr || *v == '\0') return fallback;
-  return static_cast<uint32_t>(std::strtoul(v, nullptr, 10));
-}
-
-}  // namespace
-
-AsrOptions AsrOptions::FromEnv() {
-  AsrOptions options;
-  options.txn_max_retries = EnvU32("ASR_TXN_RETRIES", options.txn_max_retries);
-  options.txn_backoff_us =
-      EnvU32("ASR_TXN_BACKOFF_US", options.txn_backoff_us);
-  return options;
-}
 
 storage::MvccManager* AccessSupportRelation::mvcc() const {
   return store_->buffers()->disk()->mvcc();
@@ -76,6 +41,15 @@ std::vector<PartitionStore*> AccessSupportRelation::DistinctStores() const {
   std::sort(stores.begin(), stores.end());
   stores.erase(std::unique(stores.begin(), stores.end()), stores.end());
   return stores;
+}
+
+std::vector<std::unique_lock<std::mutex>> AccessSupportRelation::ClaimStores()
+    const {
+  std::vector<std::unique_lock<std::mutex>> claims;
+  for (PartitionStore* ps : DistinctStores()) {
+    claims.emplace_back(ps->claim_mu);
+  }
+  return claims;
 }
 
 Status AccessSupportRelation::RegisterTreeSegments() {
@@ -98,22 +72,19 @@ Status AccessSupportRelation::RegisterTreeSegments() {
   return Status::OK();
 }
 
-Status AccessSupportRelation::AttemptEdgeTxn(MaintOp op, Oid u, uint32_t p,
-                                             AsrKey w) {
-  // Every edge operation may touch every partition (fragments span the whole
-  // path), so claim all distinct stores. Address order + try-lock keeps the
-  // claim deadlock-free; failure means a concurrent writer shares a store.
-  std::vector<PartitionStore*> stores = DistinctStores();
-  std::vector<std::unique_lock<std::mutex>> claims;
-  claims.reserve(stores.size());
-  for (PartitionStore* ps : stores) {
-    std::unique_lock<std::mutex> claim(ps->claim_mu, std::try_to_lock);
-    if (!claim.owns_lock()) {
-      return Status::Aborted("partition store '" + ps->name +
-                             "' claimed by a concurrent writer");
-    }
-    claims.push_back(std::move(claim));
+Status AccessSupportRelation::RunEdgeTxn(MaintOp op, Oid u, uint32_t p,
+                                         AsrKey w) {
+  if (mvcc() == nullptr) {
+    return Status::NotSupported(
+        "AsrOptions::transactional requires an MvccManager on the disk "
+        "(Database::EnableMvcc)");
   }
+  obs::ScopedSpan span(op == MaintOp::kEdgeInsert ? "ins_i_txn" : "del_i_txn");
+  const uint64_t seq = journal_.BeginEdge(op, u, p, w);
+  // Every edge operation may touch every partition (fragments span the whole
+  // path), so claim all distinct stores.
+  std::vector<std::unique_lock<std::mutex>> claims = ClaimStores();
+  std::vector<PartitionStore*> stores = DistinctStores();
 
   // Physical rollback points: each tree's in-memory state now, paired with
   // the discard of its staged pages.
@@ -165,37 +136,13 @@ Status AccessSupportRelation::AttemptEdgeTxn(MaintOp op, Oid u, uint32_t p,
   }
   undo_active_ = false;
   undo_log_.clear();
-  return st;
-}
+  claims.clear();  // released before the journal commit
 
-Status AccessSupportRelation::RunEdgeTxn(MaintOp op, Oid u, uint32_t p,
-                                         AsrKey w) {
-  if (mvcc() == nullptr) {
-    return Status::NotSupported(
-        "AsrOptions::transactional requires an MvccManager on the disk "
-        "(Database::EnableMvcc)");
-  }
-  obs::ScopedSpan span(op == MaintOp::kEdgeInsert ? "ins_i_txn" : "del_i_txn");
-  // Journal intent once: retries are one logical operation, and a crash in
-  // any attempt leaves the same unresolved intent for Recover().
-  const uint64_t seq = journal_.BeginEdge(op, u, p, w);
-  Status st;
-  uint32_t attempt = 0;
-  for (;; ++attempt) {
-    st = AttemptEdgeTxn(op, u, p, w);
-    if (!st.IsAborted()) break;
-    if (attempt + 1 >= options_.txn_max_retries) break;
-    const uint32_t sleep_us = BackoffMicros(options_.txn_backoff_us, attempt);
-    if (sleep_us > 0) {
-      std::this_thread::sleep_for(std::chrono::microseconds(sleep_us));
-    }
-  }
-  obs::LiveTelemetry::Instance().txn_retries.Observe(attempt);
-  if (span.active()) span.Attr("retries", static_cast<uint64_t>(attempt));
   if (st.IsAborted()) {
-    // Every retry lost its conflict and rolled back cleanly: the disk never
-    // saw the operation, so the intent resolves with no recovery debt. The
-    // caller decides whether to re-issue the operation.
+    // A commit-time conflict: a raw PageTransaction outside the claims
+    // committed one of these pages first. The rollback left the disk
+    // untouched, so the intent resolves with no recovery debt; the caller
+    // decides whether to re-issue the operation.
     journal_.MarkAborted(seq);
     return st;
   }

@@ -183,12 +183,12 @@ struct LiveTelemetry {
   SharedHistogram storage_sync_us;
   SharedHistogram wal_append_us;
   SharedHistogram wal_sync_us;
-  // Transaction layer (mirrored from MvccManager and the ASR txn retry
-  // loop): commit/conflict counts, retries-per-op, and the distance in
-  // epochs between the oldest live snapshot and the committed epoch.
+  // Transaction layer (mirrored from MvccManager): commit/conflict counts
+  // and the distance in epochs between the oldest live snapshot and the
+  // committed epoch.
   SharedCounter txn_commits;
   SharedCounter txn_conflicts;
-  SharedHistogram txn_retries;
+  SharedHistogram txn_retries;  // written by nothing; perfbench reads it
   SharedGauge snapshot_age_epochs;
 
   void Reset() {
@@ -202,7 +202,6 @@ struct LiveTelemetry {
     wal_sync_us.Reset();
     txn_commits.Reset();
     txn_conflicts.Reset();
-    txn_retries.Reset();
     snapshot_age_epochs.Reset();
   }
 

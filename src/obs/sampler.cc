@@ -147,7 +147,6 @@ void CollectLive(MetricsRegistry* registry) {
   registry->Set("live.txn.commits", hub.txn_commits.value());
   registry->Set("live.txn.conflicts", hub.txn_conflicts.value());
   registry->Set("live.txn.snapshot_age", hub.snapshot_age_epochs.value());
-  registry->SetHistogram("live.txn.retries", hub.txn_retries.snapshot());
 }
 
 TelemetrySampler::Options TelemetrySampler::Options::FromEnv() {

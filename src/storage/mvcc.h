@@ -9,7 +9,9 @@
 // optimistic writer transaction that stages private page images and detects
 // conflicts at commit as "any staged page whose committed version moved past
 // my checkout epoch" (first committer wins; the loser aborts cleanly with
-// the conflict list and retries with backoff).
+// the conflict list). ASR writers never lose that check to each other: they
+// take turns on their partition claims, so it guards raw PageTransaction
+// users.
 //
 // Scope: only segments registered with the manager (the ASR tree segments)
 // are versioned. Everything else — and everything on a disk with no manager
@@ -105,8 +107,8 @@ class PageSnapshot {
 // survivors through to the backend under the commit lock (one counted page
 // write per distinct staged page — write combining is part of the design,
 // not a metering leak), and advances the committed epoch. On conflict
-// nothing is applied and the staged set is discarded; the caller backs off
-// and retries against the new epoch.
+// nothing is applied and the staged set is discarded; the caller may retry
+// against the new epoch.
 class PageTransaction {
  public:
   PageTransaction(MvccManager* mvcc, std::vector<uint32_t> segments);

@@ -626,8 +626,6 @@ std::unique_ptr<AccessSupportRelation> BuildWriterAsr(gom::Database* db,
   AsrOptions options;
   options.anchor_collection = w.anchor;
   options.transactional = transactional;
-  options.txn_max_retries = 64;
-  options.txn_backoff_us = 20;
   PathExpression path =
       PathExpression::Parse(*db->schema(),
                             db->schema()->FindType("Division").value(),

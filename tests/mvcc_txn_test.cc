@@ -1,12 +1,14 @@
 // Tests for transactional ASR maintenance and consistent-epoch snapshot
 // readers (asr/txn.cc, asr/snapshot.h): snapshot isolation across all four
 // extension kinds against a fault-free twin, multi-writer maintenance over
-// shared and disjoint partition stores (the TSan stress surface), clean
-// Aborted resolution when retries exhaust, and the OpenSnapshot
-// preconditions.
+// shared and disjoint partition stores and every claimer at once (the TSan
+// stress surface), writers blocking on a held claim, rollback of a failed
+// commit, and the OpenSnapshot preconditions.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <cstdlib>
 #include <mutex>
 #include <memory>
@@ -18,6 +20,7 @@
 #include "asr/access_support_relation.h"
 #include "asr/snapshot.h"
 #include "paper_example.h"
+#include "storage/fault_injector.h"
 #include "storage/mvcc.h"
 
 namespace asr {
@@ -34,8 +37,6 @@ constexpr ExtensionKind kAllKinds[] = {
 AsrOptions TxnOptions() {
   AsrOptions options;
   options.transactional = true;
-  options.txn_max_retries = 64;  // generous: stress tests must not flake
-  options.txn_backoff_us = 20;
   return options;
 }
 
@@ -262,49 +263,105 @@ INSTANTIATE_TEST_SUITE_P(AllExtensions, MvccTxnTest,
                            return ExtensionKindName(i.param);
                          });
 
+// The ASR the concurrency tests below share: transactional, canonical,
+// over the Company base.
+std::unique_ptr<AccessSupportRelation> BuildSharedAsr(CompanyBase* base) {
+  return AccessSupportRelation::Build(base->store.get(), MakeCompanyPath(*base),
+                                      ExtensionKind::kCanonical,
+                                      Decomposition::Binary(3), TxnOptions())
+      .value();
+}
+
+// Shared-ASR writer `k` adds and removes its own edge `iters` times: k = 0
+// sausage under the auto division (p = 0), k = 1 pepper under the 560 SEC
+// (p = 1). The edges touch disjoint row sets, so the object-store reads
+// inside each maintenance op are unaffected by the other writer's churn.
+void ToggleSharedEdge(CompanyBase* base, AccessSupportRelation* asr, int k,
+                      int iters) {
+  gom::ObjectStore* store = base->store.get();
+  const Oid set = k == 0 ? base->prodset_auto : base->parts_560;
+  const Oid u = k == 0 ? base->auto_division : base->sec560;
+  const uint32_t p = k == 0 ? 0 : 1;
+  const AsrKey w = AsrKey::FromOid(k == 0 ? base->sausage : base->pepper);
+  for (int i = 0; i < iters; ++i) {
+    ASSERT_TRUE(store->AddToSet(set, w).ok());
+    ASSERT_TRUE(asr->OnEdgeInserted(u, p, w).ok());
+    ASSERT_TRUE(store->RemoveFromSet(set, w).ok());
+    ASSERT_TRUE(asr->OnEdgeRemoved(u, p, w).ok());
+  }
+}
+
 // Two writers on ONE transactional ASR: every operation claims all its
-// partition stores, so the writers serialize through Aborted-claim retries
-// with backoff. Both must succeed on every op and the final trees must match
-// a rebuild. (The edges touch disjoint row sets, so the object-store reads
-// inside each maintenance op are unaffected by the other writer's churn.)
-TEST(MvccTxnConcurrencyTest, SharedStoreWritersSerializeViaRetry) {
+// partition stores, so each writer waits on the claims until the other's
+// operation finished. Both must succeed on every op, the page-level
+// first-committer-wins check must never fire, and the final trees must match
+// a rebuild.
+TEST(MvccTxnConcurrencyTest, SharedStoreWritersSerializeOnClaims) {
   auto base = MakeCompanyBase();
   storage::MvccManager mvcc;
   base->disk.AttachMvcc(&mvcc);
-  auto asr = AccessSupportRelation::Build(
-                 base->store.get(), MakeCompanyPath(*base),
-                 ExtensionKind::kCanonical, Decomposition::Binary(3),
-                 TxnOptions())
-                 .value();
+  auto asr = BuildSharedAsr(base.get());
   gom::ObjectStore* store = base->store.get();
 
   constexpr int kIters = 25;
-  std::thread writer_a([&] {
-    AsrKey sausage = AsrKey::FromOid(base->sausage);
-    for (int i = 0; i < kIters; ++i) {
-      ASSERT_TRUE(store->AddToSet(base->prodset_auto, sausage).ok());
-      ASSERT_TRUE(
-          asr->OnEdgeInserted(base->auto_division, 0, sausage).ok());
-      ASSERT_TRUE(store->RemoveFromSet(base->prodset_auto, sausage).ok());
-      ASSERT_TRUE(asr->OnEdgeRemoved(base->auto_division, 0, sausage).ok());
-    }
-  });
-  std::thread writer_b([&] {
-    AsrKey pepper = AsrKey::FromOid(base->pepper);
-    for (int i = 0; i < kIters; ++i) {
-      ASSERT_TRUE(store->AddToSet(base->parts_560, pepper).ok());
-      ASSERT_TRUE(asr->OnEdgeInserted(base->sec560, 1, pepper).ok());
-      ASSERT_TRUE(store->RemoveFromSet(base->parts_560, pepper).ok());
-      ASSERT_TRUE(asr->OnEdgeRemoved(base->sec560, 1, pepper).ok());
-    }
-  });
-  writer_a.join();
-  writer_b.join();
+  std::vector<std::thread> writers;
+  for (int k = 0; k < 2; ++k) {
+    writers.emplace_back(
+        [&, k] { ToggleSharedEdge(base.get(), asr.get(), k, kIters); });
+  }
+  for (std::thread& t : writers) t.join();
 
   EXPECT_EQ(asr->journal().committed(), 4u * kIters);
   EXPECT_EQ(asr->journal().unresolved(), 0u);
   EXPECT_EQ(asr->journal().aborted(), 0u);
+  EXPECT_EQ(mvcc.conflicts().value(), 0u);
   ExpectMatchesRebuild(store, asr.get(), "after concurrent shared-store ops");
+}
+
+// Every claimer at once on one shared ASR: two edge writers as above, and a
+// third thread that opens snapshots until the writers finish and rebuilds
+// the ASR on every 16th. All three take the same claims in the same address
+// order, so under -DASR_SANITIZE=thread this is the lock-order check across
+// edge operations, snapshot capture and Rebuild.
+TEST(MvccTxnConcurrencyTest, AllClaimersInterleave) {
+  auto base = MakeCompanyBase();
+  storage::MvccManager mvcc;
+  base->disk.AttachMvcc(&mvcc);
+  auto asr = BuildSharedAsr(base.get());
+  gom::ObjectStore* store = base->store.get();
+
+  constexpr int kIters = 25;
+  // The claimer starts first and loops until both writers are done, so its
+  // snapshots and rebuilds (on snapshots 1, 17, 33, ...) overlap the writers.
+  std::atomic<int> writers_running{2};
+  uint64_t snapshots = 0;
+  uint64_t rebuilds = 0;
+  std::thread claimer([&] {
+    do {
+      auto snapshot = asr->OpenSnapshot();
+      ASSERT_TRUE(snapshot.ok()) << snapshot.status().ToString();
+      if (snapshots++ % 16 == 0) {
+        ASSERT_TRUE(asr->Rebuild().ok());
+        ++rebuilds;
+      }
+    } while (writers_running.load() > 0);
+  });
+  std::vector<std::thread> writers;
+  for (int k = 0; k < 2; ++k) {
+    writers.emplace_back([&, k] {
+      ToggleSharedEdge(base.get(), asr.get(), k, kIters);
+      --writers_running;
+    });
+  }
+  for (std::thread& t : writers) t.join();
+  claimer.join();
+
+  EXPECT_GE(rebuilds, 1u);
+  EXPECT_EQ(asr->journal().committed(), 4u * kIters + rebuilds);
+  EXPECT_EQ(asr->journal().unresolved(), 0u);
+  EXPECT_EQ(asr->journal().aborted(), 0u);
+  EXPECT_EQ(mvcc.conflicts().value(), 0u);
+  ExpectMatchesRebuild(store, asr.get(), "after interleaved claimers");
 }
 
 // N writers over DISJOINT partitions: one shared base, one anchored
@@ -412,46 +469,67 @@ TEST(MvccTxnConcurrencyTest, DisjointAnchoredWritersRunConcurrently) {
             static_cast<uint64_t>(writers) * (2 * kIters - 1));
 }
 
-// When every retry loses its claim, the operation resolves as a clean abort:
-// Aborted to the caller, journal entry 'aborted' (not lost — recovery owes
-// nothing), and the ASR unchanged. Releasing the claim and re-issuing
-// converges to the rebuilt state.
-TEST(MvccTxnConcurrencyTest, ExhaustedRetriesAbortCleanly) {
+// A writer whose store claim is held elsewhere waits for it; it neither
+// aborts nor returns early, and once the claim is free it commits.
+TEST(MvccTxnConcurrencyTest, HeldClaimBlocksWriterUntilReleased) {
   auto base = MakeCompanyBase();
   storage::MvccManager mvcc;
   base->disk.AttachMvcc(&mvcc);
-  AsrOptions options = TxnOptions();
-  options.txn_max_retries = 2;
-  options.txn_backoff_us = 1;
-  auto asr = AccessSupportRelation::Build(
-                 base->store.get(), MakeCompanyPath(*base),
-                 ExtensionKind::kCanonical, Decomposition::Binary(3), options)
-                 .value();
+  auto asr = BuildSharedAsr(base.get());
   gom::ObjectStore* store = base->store.get();
   AsrKey sausage = AsrKey::FromOid(base->sausage);
   ASSERT_TRUE(store->AddToSet(base->prodset_auto, sausage).ok());
 
-  auto keys = CompanyKeys(base.get());
-  auto before = AnswerTable(asr.get(), keys);
-  {
-    // A rival writer parks on one partition claim for the whole duration.
-    std::unique_lock<std::mutex> rival(
-        asr->partition_store(0)->claim_mu);
-    Status st;
-    std::thread writer([&] {
-      st = asr->OnEdgeInserted(base->auto_division, 0, sausage);
-    });
-    writer.join();
-    EXPECT_TRUE(st.IsAborted()) << st.ToString();
-  }
-  EXPECT_EQ(asr->journal().aborted(), 1u);
-  EXPECT_EQ(asr->journal().lost(), 0u);
-  EXPECT_EQ(asr->journal().unresolved(), 0u);
-  EXPECT_EQ(AnswerTable(asr.get(), keys), before);
+  std::unique_lock<std::mutex> rival(asr->partition_store(0)->claim_mu);
+  std::atomic<bool> returned{false};
+  Status st;
+  std::thread writer([&] {
+    st = asr->OnEdgeInserted(base->auto_division, 0, sausage);
+    returned = true;
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  EXPECT_FALSE(returned.load());
+  EXPECT_EQ(asr->journal().committed(), 0u);
+  rival.unlock();
+  writer.join();
 
-  // Re-issue with the claim free: converges.
-  ASSERT_TRUE(asr->OnEdgeInserted(base->auto_division, 0, sausage).ok());
-  ExpectMatchesRebuild(store, asr.get(), "after abort then retry");
+  EXPECT_TRUE(st.ok()) << st.ToString();
+  EXPECT_EQ(asr->journal().committed(), 1u);
+  EXPECT_EQ(asr->journal().aborted(), 0u);
+  ExpectMatchesRebuild(store, asr.get(), "after the claim was released");
+}
+
+// A commit that fails on the backend rolls the operation back and leaves
+// its intent lost (not aborted: the crash may have half-written the
+// commit), and the usual Recover() + Repair() path converges. Staged writes
+// bypass the injector, so the crash fires inside PageTransaction::Commit.
+TEST(MvccTxnConcurrencyTest, FailedCommitRollsBack) {
+  auto base = MakeCompanyBase();
+  storage::MvccManager mvcc;
+  base->disk.AttachMvcc(&mvcc);
+  auto asr = BuildSharedAsr(base.get());
+  gom::ObjectStore* store = base->store.get();
+  AsrKey sausage = AsrKey::FromOid(base->sausage);
+  ASSERT_TRUE(store->AddToSet(base->prodset_auto, sausage).ok());
+
+  storage::FaultInjector injector;
+  base->disk.set_fault_injector(&injector);
+  storage::FaultSpec spec;
+  spec.kind = storage::FaultKind::kWriteCrash;
+  spec.segment = asr->forward_tree(0).segment();
+  injector.Arm(spec);
+  Status st = asr->OnEdgeInserted(base->auto_division, 0, sausage);
+  EXPECT_TRUE(st.IsIOError()) << st.ToString();
+  EXPECT_TRUE(injector.fired());
+  EXPECT_EQ(asr->journal().lost(), 1u);
+  EXPECT_EQ(asr->journal().aborted(), 0u);
+
+  // Recover() alone quarantines the partitions; compare after Repair().
+  base->disk.RecoverFromCrash();
+  ASSERT_TRUE(asr->Recover().ok());
+  ASSERT_TRUE(asr->Repair().ok());
+  base->disk.set_fault_injector(nullptr);
+  ExpectMatchesRebuild(store, asr.get(), "after failed commit and repair");
 }
 
 TEST(MvccTxnPreconditionTest, OpenSnapshotRequiresTransactionalMode) {
@@ -474,19 +552,6 @@ TEST(MvccTxnPreconditionTest, TransactionalBuildRequiresMvccManager) {
       Decomposition::Binary(3), TxnOptions());
   ASSERT_FALSE(built.ok());
   EXPECT_TRUE(built.status().IsNotSupported()) << built.status().ToString();
-}
-
-TEST(MvccTxnPreconditionTest, FromEnvReadsRetryKnobs) {
-  setenv("ASR_TXN_RETRIES", "17", 1);
-  setenv("ASR_TXN_BACKOFF_US", "250", 1);
-  AsrOptions options = AsrOptions::FromEnv();
-  EXPECT_EQ(options.txn_max_retries, 17u);
-  EXPECT_EQ(options.txn_backoff_us, 250u);
-  unsetenv("ASR_TXN_RETRIES");
-  unsetenv("ASR_TXN_BACKOFF_US");
-  AsrOptions defaults = AsrOptions::FromEnv();
-  EXPECT_EQ(defaults.txn_max_retries, AsrOptions{}.txn_max_retries);
-  EXPECT_EQ(defaults.txn_backoff_us, AsrOptions{}.txn_backoff_us);
 }
 
 }  // namespace
